@@ -1,106 +1,24 @@
 """Entanglement generated by 1D scattering of two Gaussian wave packets
 off hard-core repulsion.
 
-Closed-form covariance-matrix route, wave-function geometry, and an
+Closed-form covariance route, wave-function geometry, and an
 independent grid/Schmidt-decomposition cross-check, plus a CLI for
-reproducible parameter sweeps.
+reproducible parameter sweeps.  The public names of each module are
+re-exported here.
 """
 
-from .covariance import (
-    SYMPLECTIC_FORM,
-    AffineSymplecticMap,
-    CovarianceMatrix4,
-    EntanglementResult,
-    GaussianPacket,
-    MassFractions,
-    TwoModeBlocks,
-    closed_form_blocks,
-    com_relative_map,
-    d_closed_form,
-    d_from_block,
-    entropy_from_d,
-    initial_covariance,
-    purity_from_d,
-    reflection_map,
-    scattering_map,
-    transform_covariance,
-)
-from .ellipse import (
-    EllipseShape,
-    QuadraticForm2,
-    approx_final_ellipse,
-    ellipse_from_form,
-    mixing_matrix,
-    scattered_form,
-    scattered_form_from_factors,
-    stretch_polynomial,
-)
-from .gridsim import (
-    CoverageError,
-    EvolvedPacket,
-    GridSpec,
-    TransientCurve,
-    WaveGrid,
-    auto_grid,
-    collision_state,
-    free_evolve_packet,
-    free_state,
-    reflected_state,
-    schmidt_entropy,
-    transient_curve,
-)
-from .scattering import (
-    ScatterParams,
-    ZeroEntanglementClass,
-    asymptotic_entanglement,
-    d_asymptotic,
-    is_zero_entanglement,
-)
+from . import covariance, ellipse, gridsim, scattering
+from .covariance import *  # noqa: F403
+from .ellipse import *  # noqa: F403
+from .gridsim import *  # noqa: F403
+from .scattering import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SYMPLECTIC_FORM",
-    "AffineSymplecticMap",
-    "CovarianceMatrix4",
-    "EntanglementResult",
-    "GaussianPacket",
-    "MassFractions",
-    "TwoModeBlocks",
-    "closed_form_blocks",
-    "com_relative_map",
-    "d_closed_form",
-    "d_from_block",
-    "entropy_from_d",
-    "initial_covariance",
-    "purity_from_d",
-    "reflection_map",
-    "scattering_map",
-    "transform_covariance",
-    "EllipseShape",
-    "QuadraticForm2",
-    "approx_final_ellipse",
-    "ellipse_from_form",
-    "mixing_matrix",
-    "scattered_form",
-    "scattered_form_from_factors",
-    "stretch_polynomial",
-    "CoverageError",
-    "EvolvedPacket",
-    "GridSpec",
-    "TransientCurve",
-    "WaveGrid",
-    "auto_grid",
-    "collision_state",
-    "free_evolve_packet",
-    "free_state",
-    "reflected_state",
-    "schmidt_entropy",
-    "transient_curve",
-    "ScatterParams",
-    "ZeroEntanglementClass",
-    "asymptotic_entanglement",
-    "d_asymptotic",
-    "is_zero_entanglement",
+    *covariance.__all__,
+    *ellipse.__all__,
+    *gridsim.__all__,
+    *scattering.__all__,
     "__version__",
 ]

@@ -28,7 +28,7 @@ from .ellipse import (
     ellipse_from_form,
     scattered_form,
 )
-from .gridsim import CoverageError, reflected_state, schmidt_entropy, transient_curve
+from .gridsim import reflected_state, schmidt_entropy, transient_curve
 from .scattering import ScatterParams, d_asymptotic, is_zero_entanglement
 
 __all__ = ["SweepConfig", "main", "entrypoint",
@@ -43,26 +43,6 @@ EXIT_ORACLE = 4
 ORACLE_TOL_BITS = 1e-3
 
 MODES = ("single", "sweep-mu", "ellipse", "transient", "oracle-check")
-
-_FIELD_TYPES = {
-    "mu1": float,
-    "mass1": float,
-    "mass2": float,
-    "sigma1_sq": float,
-    "sigma2_sq": float,
-    "ratio": float,
-    "core_radius": float,
-    "momentum": float,
-    "q1": float,
-    "q2": float,
-    "grid_n": int,
-    "coverage": float,
-    "points": int,
-    "t_start": float,
-    "t_stop": float,
-    "out": str,
-    "format": str,
-}
 
 # Baseline defaults; entries under a mode name override them.
 _DEFAULTS = {
@@ -80,21 +60,19 @@ _DEFAULTS = {
                   "mass1": 1.0, "mass2": 3.0},
 }
 
+# Parameter pairs that select the same quantity two ways.  Keys on one
+# side go together, giving both sides is an error, and a flag on one side
+# silences file-supplied values on the other.
+_ALTERNATIVES = ((("sigma1_sq",), ("ratio",)), (("mu1",), ("mass1", "mass2")))
+
 
 @dataclass
 class SweepConfig:
-    """Fully resolved run configuration for one CLI invocation."""
+    """Fully resolved run configuration for one CLI invocation: the
+    scenario plus the settings that only concern the run."""
 
     mode: str
-    mu1: float
-    mass1: float
-    mass2: float
-    sigma1_sq: float
-    sigma2_sq: float
-    core_radius: float
-    momentum: float
-    q1: float | None
-    q2: float | None
+    params: ScatterParams
     grid_n: int
     coverage: float
     points: int
@@ -103,29 +81,16 @@ class SweepConfig:
     out: str | None
     fmt: str
 
-    @property
-    def fractions(self) -> MassFractions:
-        return MassFractions.from_masses(self.mass1, self.mass2)
 
-    @property
-    def width_ratio(self) -> float:
-        return math.sqrt(self.sigma1_sq / self.sigma2_sq)
-
-    def scatter_params(self) -> ScatterParams:
-        return ScatterParams(
-            self.mass1,
-            self.mass2,
-            self.sigma1_sq,
-            self.sigma2_sq,
-            momentum=self.momentum,
-            core_radius=self.core_radius,
-            q1=self.q1,
-            q2=self.q2,
-        )
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def parse_config_file(path: str) -> dict:
-    """Read a flat key=value file; '#' starts a comment, blank lines skipped."""
+def parse_config_file(path: str, types: dict) -> dict:
+    """Read a flat key=value file; '#' starts a comment, blank lines skipped.
+
+    ``types`` maps each known key to the type its command-line flag takes.
+    """
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -136,9 +101,9 @@ def parse_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _FIELD_TYPES:
+            if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
-            values[key] = _FIELD_TYPES[key](value.strip())
+            values[key] = types[key](value.strip())
     return values
 
 
@@ -149,12 +114,15 @@ def _resolve(mode: str, supplied: dict) -> SweepConfig:
     explicit = {k for k, v in supplied.items() if v is not None}
     merged.update({k: v for k, v in supplied.items() if v is not None})
 
-    if "sigma1_sq" in explicit and "ratio" in explicit:
-        raise ValueError("give either --sigma1-sq or --ratio, not both")
-    if ("mass1" in explicit) != ("mass2" in explicit):
-        raise ValueError("--mass1 and --mass2 must be given together")
-    if "mu1" in explicit and "mass1" in explicit:
-        raise ValueError("give either --mu1 or --mass1/--mass2, not both")
+    for left, right in _ALTERNATIVES:
+        for side in (left, right):
+            if 0 < len(explicit.intersection(side)) < len(side):
+                raise ValueError(" and ".join(map(_flag, side)) + " must be given together")
+        if explicit.intersection(left) and explicit.intersection(right):
+            raise ValueError(
+                f"give either {'/'.join(map(_flag, left))} or "
+                f"{'/'.join(map(_flag, right))}, not both"
+            )
 
     sigma2_sq = merged["sigma2_sq"]
     if "sigma1_sq" in explicit:
@@ -162,11 +130,13 @@ def _resolve(mode: str, supplied: dict) -> SweepConfig:
     else:
         sigma1_sq = merged["ratio"] ** 2 * sigma2_sq
 
+    # Raw masses are normalized by ScatterParams; a bare mu1 enters as the
+    # pair (mu1, 1 - mu1).
     if "mass1" in explicit or ("mu1" not in explicit and "mass1" in merged):
-        mass1, mass2 = merged["mass1"], merged["mass2"]
+        masses = merged["mass1"], merged["mass2"]
     else:
         mu = MassFractions(merged["mu1"])
-        mass1, mass2 = mu.mu1, mu.mu2
+        masses = mu.mu1, mu.mu2
 
     fmt = merged["format"]
     if fmt not in ("csv", "json"):
@@ -183,17 +153,18 @@ def _resolve(mode: str, supplied: dict) -> SweepConfig:
     if t_start is not None and t_stop is not None and not t_stop > t_start:
         raise ValueError("t_stop must exceed t_start")
 
-    return SweepConfig(
-        mode=mode,
-        mu1=MassFractions.from_masses(mass1, mass2).mu1,
-        mass1=mass1,
-        mass2=mass2,
-        sigma1_sq=sigma1_sq,
-        sigma2_sq=sigma2_sq,
-        core_radius=merged["core_radius"],
+    params = ScatterParams(
+        *masses,
+        sigma1_sq,
+        sigma2_sq,
         momentum=merged["momentum"],
+        core_radius=merged["core_radius"],
         q1=merged.get("q1"),
         q2=merged.get("q2"),
+    )
+    return SweepConfig(
+        mode=mode,
+        params=params,
         grid_n=merged["grid_n"],
         coverage=merged["coverage"],
         points=points,
@@ -204,20 +175,26 @@ def _resolve(mode: str, supplied: dict) -> SweepConfig:
     )
 
 
+def _entanglement(mu: MassFractions, sigma1_sq: float, sigma2_sq: float):
+    """Closed-form d with its entropy (bits) and purity."""
+    d = d_closed_form(mu, sigma1_sq, sigma2_sq)
+    return d, entropy_from_d(d), purity_from_d(d)
+
+
 def run_single(cfg: SweepConfig) -> dict:
     """One closed-form evaluation of the collision entanglement."""
-    params = cfg.scatter_params()
+    params = cfg.params
     mu = params.fractions
-    d_exact = d_closed_form(mu, cfg.sigma1_sq, cfg.sigma2_sq)
+    d_exact, entropy, purity = _entanglement(mu, params.sigma1_sq, params.sigma2_sq)
     return {
         "mu1": mu.mu1,
         "mu2": mu.mu2,
-        "sigma1_sq": cfg.sigma1_sq,
-        "sigma2_sq": cfg.sigma2_sq,
+        "sigma1_sq": params.sigma1_sq,
+        "sigma2_sq": params.sigma2_sq,
         "d_exact": d_exact,
-        "d_asymptotic": d_asymptotic(mu, cfg.width_ratio),
-        "entropy_bits": entropy_from_d(d_exact),
-        "purity": purity_from_d(d_exact),
+        "d_asymptotic": d_asymptotic(mu.mu1, params.width_ratio),
+        "entropy_bits": entropy,
+        "purity": purity,
         "classification": is_zero_entanglement(params).value,
     }
 
@@ -227,25 +204,26 @@ def run_sweep_mu(cfg: SweepConfig) -> dict:
 
     The grid spans [0.01, 0.99]; the exact pipeline needs mu1 strictly
     inside the open interval, and the leading-order value at the closed
-    endpoint mu1 = 1 is reported separately in the metadata.
+    endpoint mu1 = 1 is reported separately in the metadata.  The scenario
+    fixes only the widths; its masses play no part.
     """
-    ratio = cfg.width_ratio
+    sigma1_sq, sigma2_sq = cfg.params.sigma1_sq, cfg.params.sigma2_sq
+    ratio = cfg.params.width_ratio
     rows = []
-    for mu1 in np.linspace(0.01, 0.99, cfg.points):
-        mu = MassFractions(float(mu1))
-        d_exact = d_closed_form(mu, cfg.sigma1_sq, cfg.sigma2_sq)
+    for mu1 in np.linspace(0.01, 0.99, cfg.points).tolist():
+        d_exact, entropy, purity = _entanglement(MassFractions(mu1), sigma1_sq, sigma2_sq)
         rows.append(
             {
-                "mu1": float(mu1),
+                "mu1": mu1,
                 "d_exact": d_exact,
-                "d_asymptotic": d_asymptotic(mu, ratio),
-                "entropy_bits": entropy_from_d(d_exact),
-                "purity": purity_from_d(d_exact),
+                "d_asymptotic": d_asymptotic(mu1, ratio),
+                "entropy_bits": entropy,
+                "purity": purity,
             }
         )
     meta = {
-        "sigma1_sq": cfg.sigma1_sq,
-        "sigma2_sq": cfg.sigma2_sq,
+        "sigma1_sq": sigma1_sq,
+        "sigma2_sq": sigma2_sq,
         "width_ratio": ratio,
         "points": cfg.points,
         "d_asymptotic_at_mu1_1": d_asymptotic(1.0, ratio),
@@ -255,18 +233,16 @@ def run_sweep_mu(cfg: SweepConfig) -> dict:
 
 def run_ellipse(cfg: SweepConfig) -> dict:
     """Exact and approximate outgoing-ellipse geometry plus boundary points."""
-    mu = cfg.fractions
-    exact = ellipse_from_form(scattered_form(mu, cfg.sigma1_sq, cfg.sigma2_sq))
-    approx = approx_final_ellipse(
-        mu, math.sqrt(cfg.sigma1_sq), math.sqrt(cfg.sigma2_sq)
-    )
-    initial = ellipse_from_form(
-        QuadraticForm2(np.diag([1.0 / cfg.sigma1_sq, 1.0 / cfg.sigma2_sq]))
-    )
+    params = cfg.params
+    mu = params.fractions
+    s1, s2 = params.sigma1_sq, params.sigma2_sq
+    exact = ellipse_from_form(scattered_form(mu, s1, s2))
+    approx = approx_final_ellipse(mu.mu1, math.sqrt(s1), math.sqrt(s2))
+    initial = ellipse_from_form(QuadraticForm2(np.diag([1.0 / s1, 1.0 / s2])))
     return {
         "mu1": mu.mu1,
-        "sigma1_sq": cfg.sigma1_sq,
-        "sigma2_sq": cfg.sigma2_sq,
+        "sigma1_sq": s1,
+        "sigma2_sq": s2,
         "initial_semi_major": initial.semi_major,
         "initial_semi_minor": initial.semi_minor,
         "initial_angle_rad": initial.angle_rad,
@@ -289,7 +265,7 @@ def run_transient(cfg: SweepConfig) -> dict:
     The default window runs from 0 to 2.5 times the estimated collision
     time (packet separation over the relative velocity).
     """
-    params = cfg.scatter_params()
+    params = cfg.params
     reduced_mass = params.mass1 * params.mass2
     t_collision = (params.q1 + params.q2 - params.core_radius) * reduced_mass / params.momentum
     t_start = 0.0 if cfg.t_start is None else cfg.t_start
@@ -298,15 +274,13 @@ def run_transient(cfg: SweepConfig) -> dict:
         raise ValueError("t_stop must exceed t_start")
     times = np.linspace(t_start, t_stop, cfg.points)
     curve = transient_curve(params, times, grid_n=cfg.grid_n, coverage=cfg.coverage)
-    asymptote = entropy_from_d(
-        d_closed_form(params.fractions, cfg.sigma1_sq, cfg.sigma2_sq)
-    )
+    _, asymptote, _ = _entanglement(params.fractions, params.sigma1_sq, params.sigma2_sq)
     meta = {
         "mu1": params.fractions.mu1,
-        "sigma1_sq": cfg.sigma1_sq,
-        "sigma2_sq": cfg.sigma2_sq,
-        "momentum": cfg.momentum,
-        "core_radius": cfg.core_radius,
+        "sigma1_sq": params.sigma1_sq,
+        "sigma2_sq": params.sigma2_sq,
+        "momentum": params.momentum,
+        "core_radius": params.core_radius,
         "q1": params.q1,
         "q2": params.q2,
         "grid_n": cfg.grid_n,
@@ -324,10 +298,8 @@ def run_transient(cfg: SweepConfig) -> dict:
 def run_oracle_check(cfg: SweepConfig) -> dict:
     """Compare the Schmidt entropy of the sampled outgoing state with the
     closed form; passes when they agree within 1e-3 bits."""
-    params = cfg.scatter_params()
-    analytic = entropy_from_d(
-        d_closed_form(params.fractions, cfg.sigma1_sq, cfg.sigma2_sq)
-    )
+    params = cfg.params
+    _, analytic, _ = _entanglement(params.fractions, params.sigma1_sq, params.sigma2_sq)
     wave = reflected_state(params, grid_n=cfg.grid_n, coverage=cfg.coverage)
     schmidt = schmidt_entropy(wave)
     difference = abs(schmidt - analytic)
@@ -395,7 +367,9 @@ def _emit(record: dict, cfg: SweepConfig) -> None:
             fh.write(text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The CLI parser, and the type of each scenario and numerics key,
+    which configuration files share with the flags."""
     common = argparse.ArgumentParser(add_help=False)
     group = common.add_argument_group("scenario")
     group.add_argument("--mu1", type=float, help="mass fraction of particle 1")
@@ -442,38 +416,31 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="entropy along a time grid from the image solution")
     sub.add_parser("oracle-check", parents=[common],
                    help="Schmidt entropy of the sampled state vs the closed form")
-    return parser
-
-
-# Parameter pairs that select the same quantity two ways; a flag on one
-# side silences file-supplied values on the other.
-_ALTERNATIVES = (({"sigma1_sq"}, {"ratio"}), ({"mu1"}, {"mass1", "mass2"}))
+    types = {action.dest: action.type or str
+             for action in common._actions if action.dest != "config"}
+    return parser, types
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    flags = {key: getattr(args, key) for key in _FIELD_TYPES}
+    parser, types = _build_parser()
+    args = parser.parse_args(argv)
+    flags = {key: getattr(args, key) for key in types}
     try:
         supplied = dict(flags)
         if args.config is not None:
-            file_values = parse_config_file(args.config)
+            file_values = parse_config_file(args.config, types)
             for left, right in _ALTERNATIVES:
-                if any(flags.get(k) is not None for k in left):
-                    for k in right:
-                        file_values.pop(k, None)
-                if any(flags.get(k) is not None for k in right):
-                    for k in left:
-                        file_values.pop(k, None)
+                for side, other in ((left, right), (right, left)):
+                    if any(flags[k] is not None for k in side):
+                        for k in other:
+                            file_values.pop(k, None)
             for key, value in file_values.items():
-                if supplied.get(key) is None:
+                if supplied[key] is None:
                     supplied[key] = value
         cfg = _resolve(args.mode, supplied)
         record = _RUNNERS[cfg.mode](cfg)
         _emit(record, cfg)
-    except CoverageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+    except ValueError as exc:  # CoverageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

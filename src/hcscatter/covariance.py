@@ -1,11 +1,12 @@
 """Two-mode Gaussian covariance algebra for a hard-core bounce in 1D.
 
 Natural units (hbar = 1) and canonical ordering (x1, p1, x2, p2)
-throughout; the symplectic form J is block-diagonal with [[0, 1], [-1, 0]]
-per mode.  A hard-core collision acts on the canonical operators as an
+throughout.  A hard-core collision acts on the canonical operators as an
 affine symplectic map (a reflection of the relative coordinate), so the
 asymptotic two-particle state, and with it the generated entanglement, is
-fixed by covariance-matrix algebra alone.
+fixed by covariance-matrix algebra alone.  Pushing the initial covariance
+through that map gives the closed-form blocks below; the matrix pipeline
+itself is the derivation and is rebuilt in the test suite as an oracle.
 
 The entanglement of the pure two-mode output is graded by the scalar
 d = sqrt(det A), where A is the reduced 2x2 covariance block of one mode:
@@ -24,49 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SYMPLECTIC_FORM",
     "MassFractions",
     "GaussianPacket",
-    "CovarianceMatrix4",
-    "AffineSymplecticMap",
-    "TwoModeBlocks",
-    "EntanglementResult",
-    "initial_covariance",
-    "com_relative_map",
-    "reflection_map",
-    "scattering_map",
-    "transform_covariance",
     "closed_form_blocks",
-    "d_from_block",
     "d_closed_form",
     "entropy_from_d",
     "purity_from_d",
 ]
 
-#: Symplectic form in the (x1, p1, x2, p2) ordering.
-SYMPLECTIC_FORM = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]
-)
-SYMPLECTIC_FORM.setflags(write=False)
-
-_SYMMETRY_TOL = 1e-12
-_SYMPLECTIC_TOL = 1e-12
-_UNCERTAINTY_TOL = 1e-10
 # Largest tolerated roundoff deficit of det(A) below the physical floor 1/4.
 _DET_DEFICIT_TOL = 1e-9
-
-
-def _as_matrix(value, shape, name: str) -> np.ndarray:
-    out = np.array(value, dtype=float)
-    if out.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {out.shape}")
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -94,7 +62,9 @@ class MassFractions:
 
     @classmethod
     def from_masses(cls, mass1: float, mass2: float) -> "MassFractions":
-        """Build fractions from raw (positive) masses."""
+        """Build fractions from raw (positive, finite) masses."""
+        if not (math.isfinite(mass1) and math.isfinite(mass2)):
+            raise ValueError(f"masses must be finite, got {mass1}, {mass2}")
         if mass1 <= 0.0 or mass2 <= 0.0:
             raise ValueError(f"masses must be positive, got {mass1}, {mass2}")
         total = mass1 + mass2
@@ -136,232 +106,21 @@ class GaussianPacket:
         )
 
 
-@dataclass(frozen=True)
-class CovarianceMatrix4:
-    """4x4 real symmetric covariance matrix in (x1, p1, x2, p2) ordering.
-
-    Entries are symmetrized second moments of the canonical operators.
-    Construction checks symmetry (1e-12 absolute) and the uncertainty
-    relation: the Hermitian matrix ``sigma + i J / 2`` must be positive
-    semidefinite up to -1e-10 on its smallest eigenvalue.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        entries = _as_matrix(self.entries, (4, 4), "entries")
-        object.__setattr__(self, "entries", entries)
-        asym = np.max(np.abs(entries - entries.T))
-        if asym > _SYMMETRY_TOL:
-            raise ValueError(f"covariance matrix not symmetric (max deviation {asym:.3e})")
-        eigs = np.linalg.eigvalsh(entries + 0.5j * SYMPLECTIC_FORM)
-        if eigs.min() < -_UNCERTAINTY_TOL:
-            raise ValueError(
-                f"covariance matrix violates the uncertainty relation "
-                f"(min eigenvalue of sigma + iJ/2 is {eigs.min():.3e})"
-            )
-
-    def blocks(self) -> "TwoModeBlocks":
-        """Split into the reduced one-mode blocks A, B and the cross block C."""
-        s = self.entries
-        return TwoModeBlocks(s[:2, :2], s[2:, 2:], s[:2, 2:])
-
-
-@dataclass(frozen=True)
-class AffineSymplecticMap:
-    """Affine map R -> linear @ R + displacement on the canonical operators.
-
-    The linear part must preserve the symplectic form to 1e-12 elementwise;
-    this holds for the center-of-mass/relative change of coordinates and
-    for the hard-core reflection alike.
-    """
-
-    linear: np.ndarray
-    displacement: np.ndarray
-
-    def __post_init__(self) -> None:
-        linear = _as_matrix(self.linear, (4, 4), "linear")
-        shift = np.array(self.displacement, dtype=float).reshape(-1)
-        if shift.shape != (4,):
-            raise ValueError(f"displacement must be a 4-vector, got shape {shift.shape}")
-        shift.setflags(write=False)
-        object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "displacement", shift)
-        defect = np.max(np.abs(linear.T @ SYMPLECTIC_FORM @ linear - SYMPLECTIC_FORM))
-        if defect > _SYMPLECTIC_TOL:
-            raise ValueError(f"linear part is not symplectic (defect {defect:.3e})")
-
-
-@dataclass(frozen=True)
-class TwoModeBlocks:
-    """The 2x2 blocks A, B, C of a two-mode covariance matrix."""
-
-    block_a: np.ndarray
-    block_b: np.ndarray
-    block_c: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = _as_matrix(self.block_a, (2, 2), "block_a")
-        b = _as_matrix(self.block_b, (2, 2), "block_b")
-        c = _as_matrix(self.block_c, (2, 2), "block_c")
-        for name, block in (("block_a", a), ("block_b", b)):
-            if np.max(np.abs(block - block.T)) > _SYMMETRY_TOL:
-                raise ValueError(f"{name} must be symmetric")
-        object.__setattr__(self, "block_a", a)
-        object.__setattr__(self, "block_b", b)
-        object.__setattr__(self, "block_c", c)
-
-    def assemble(self) -> CovarianceMatrix4:
-        """Reassemble [[A, C], [C^T, B]] into a full covariance matrix."""
-        full = np.block([[self.block_a, self.block_c], [self.block_c.T, self.block_b]])
-        return CovarianceMatrix4(full)
-
-
-@dataclass(frozen=True)
-class EntanglementResult:
-    """The scalar d with its derived entropy (bits) and purity."""
-
-    d_value: float
-    entropy_bits: float
-    purity: float
-
-    def __post_init__(self) -> None:
-        if self.d_value < 0.5:
-            raise ValueError(f"d must be at least 1/2, got {self.d_value}")
-        if not 0.0 < self.purity <= 1.0:
-            raise ValueError(f"purity must lie in (0, 1], got {self.purity}")
-        if abs(self.purity * 2.0 * self.d_value - 1.0) > 1e-12:
-            raise ValueError("purity and d are inconsistent: 2 d purity != 1")
-        if self.entropy_bits < 0.0:
-            raise ValueError(f"entropy must be non-negative, got {self.entropy_bits}")
-        if self.d_value == 0.5 and self.entropy_bits != 0.0:
-            raise ValueError("entropy must vanish exactly at d = 1/2")
-        if self.entropy_bits == 0.0 and self.d_value > 0.5 + 1e-12:
-            raise ValueError("nonzero d > 1/2 must carry nonzero entropy")
-
-    @classmethod
-    def from_d(cls, d: float) -> "EntanglementResult":
-        return cls(d, entropy_from_d(d), purity_from_d(d))
-
-
-def initial_covariance(sigma1_sq: float, sigma2_sq: float) -> CovarianceMatrix4:
-    """Covariance matrix of two independent minimal-uncertainty packets.
-
-    Parameters
-    ----------
-    sigma1_sq, sigma2_sq : float
-        Positive squared widths of the two packets.
-
-    Returns
-    -------
-    CovarianceMatrix4
-        ``diag(s1/2, 1/(2 s1), s2/2, 1/(2 s2))`` with ``s_i = sigma_i^2``.
-    """
-    if sigma1_sq <= 0.0 or sigma2_sq <= 0.0:
-        raise ValueError(
-            f"widths must be positive, got sigma1_sq={sigma1_sq}, sigma2_sq={sigma2_sq}"
-        )
-    return CovarianceMatrix4(
-        np.diag(
-            [
-                sigma1_sq / 2.0,
-                1.0 / (2.0 * sigma1_sq),
-                sigma2_sq / 2.0,
-                1.0 / (2.0 * sigma2_sq),
-            ]
-        )
-    )
-
-
-def _com_relative_matrix(mu: MassFractions) -> np.ndarray:
-    return np.array(
-        [
-            [mu.mu1, 0.0, mu.mu2, 0.0],
-            [0.0, 1.0, 0.0, 1.0],
-            [1.0, 0.0, -1.0, 0.0],
-            [0.0, mu.mu2, 0.0, -mu.mu1],
-        ]
-    )
-
-
-def _com_relative_inverse(mu: MassFractions) -> np.ndarray:
-    # Closed form: x1 = xs + mu2 xr, x2 = xs - mu1 xr, p1 = mu1 ps + pr,
-    # p2 = mu2 ps - pr.  Exact and symplectic by construction.
-    return np.array(
-        [
-            [1.0, 0.0, mu.mu2, 0.0],
-            [0.0, mu.mu1, 0.0, 1.0],
-            [1.0, 0.0, -mu.mu1, 0.0],
-            [0.0, mu.mu2, 0.0, -1.0],
-        ]
-    )
-
-
-def com_relative_map(mu: MassFractions) -> AffineSymplecticMap:
-    """Change of canonical coordinates from the particle frame to the
-    center-of-mass/relative frame (x_s, p_s, x_r, p_r)."""
-    return AffineSymplecticMap(_com_relative_matrix(mu), np.zeros(4))
-
-
-def reflection_map(core_radius: float) -> AffineSymplecticMap:
-    """Hard-core reflection in the (x_s, p_s, x_r, p_r) frame.
-
-    The relative coordinate is reflected through the wall at the core
-    radius ``a``: x_r -> 2a - x_r, p_r -> -p_r, while the center of mass is
-    untouched.  Linear part diag(1, 1, -1, -1), displacement (0, 0, 2a, 0).
-    """
-    if core_radius < 0.0:
-        raise ValueError(f"core radius must be non-negative, got {core_radius}")
-    return AffineSymplecticMap(
-        np.diag([1.0, 1.0, -1.0, -1.0]),
-        np.array([0.0, 0.0, 2.0 * core_radius, 0.0]),
-    )
-
-
-def scattering_map(mu: MassFractions, core_radius: float = 0.0) -> AffineSymplecticMap:
-    """The full collision map on the particle-frame canonical operators.
-
-    Conjugates the relative-coordinate reflection with the closed-form
-    coordinate change and its closed-form inverse, giving an affine
-    involution.  At equal masses the linear part degenerates to a plain
-    exchange of the two modes.
-    """
-    forward = _com_relative_matrix(mu)
-    inverse = _com_relative_inverse(mu)
-    bounce = reflection_map(core_radius)
-    return AffineSymplecticMap(
-        inverse @ bounce.linear @ forward,
-        inverse @ bounce.displacement,
-    )
-
-
-def transform_covariance(
-    sigma: CovarianceMatrix4, symplectic: AffineSymplecticMap
-) -> CovarianceMatrix4:
-    """Push a covariance matrix through an affine symplectic map.
-
-    Covariances transform with the linear part only, ``L sigma L^T``; the
-    displacement shifts first moments and drops out entirely.
-    """
-    linear = symplectic.linear
-    moved = linear @ sigma.entries @ linear.T
-    return CovarianceMatrix4(0.5 * (moved + moved.T))
-
-
 def closed_form_blocks(
     mu: MassFractions, sigma1_sq: float, sigma2_sq: float
-) -> TwoModeBlocks:
-    """Post-collision covariance blocks written out in closed form.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Post-collision covariance blocks (A, B, C) written out in closed form.
 
-    All three blocks come out diagonal.  With dm = mu1 - mu2:
+    The full covariance matrix is [[A, C], [C^T, B]]; A and B are the
+    reduced one-mode blocks.  All three come back as read-only 2x2 arrays
+    and all three are diagonal.  With dm = mu1 - mu2:
 
     * A = diag(2 mu2^2 s2 + dm^2 s1 / 2,  2 mu1^2 / s2 + dm^2 / (2 s1))
     * B = diag(2 mu1^2 s1 + dm^2 s2 / 2,  2 mu2^2 / s1 + dm^2 / (2 s2))
     * C = diag(dm (mu1 s1 - mu2 s2),      dm (mu2 / s1 - mu1 / s2))
 
-    The same matrix is produced by pushing ``initial_covariance`` through
-    ``scattering_map``; the two routes are checked against each other in
-    the test suite.
+    The test suite checks them against the initial covariance
+    diag(s1/2, 1/(2 s1), s2/2, 1/(2 s2)) pushed through the collision map.
     """
     if sigma1_sq <= 0.0 or sigma2_sq <= 0.0:
         raise ValueError("widths must be positive")
@@ -376,38 +135,9 @@ def closed_form_blocks(
     block_c = np.diag(
         [dm * (mu1 * s1 - mu2 * s2), dm * (mu2 / s1 - mu1 / s2)]
     )
-    return TwoModeBlocks(block_a, block_b, block_c)
-
-
-def _d_from_det(det_a: float) -> float:
-    # d = 1/2 is an exact physical floor reached at exact parameter
-    # relations; tiny float deficits below det = 1/4 are clamped, anything
-    # beyond the tolerance is a genuinely unphysical block.
-    deficit = 0.25 - det_a
-    if deficit > _DET_DEFICIT_TOL:
-        raise ValueError(
-            f"block determinant {det_a} is below the physical floor 1/4; "
-            "the state is not a valid reduced one-mode Gaussian"
-        )
-    if deficit > 0.0:
-        return 0.5
-    return math.sqrt(det_a)
-
-
-def d_from_block(block_a) -> float:
-    """sqrt(det A) of a reduced one-mode covariance block.
-
-    The block must be positive definite.  Roundoff that drags det(A)
-    marginally below 1/4 is clamped to the floor d = 1/2; larger
-    violations raise.
-    """
-    block = np.asarray(block_a, dtype=float)
-    if block.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 block, got shape {block.shape}")
-    det = block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
-    if block[0, 0] <= 0.0 or det <= 0.0:
-        raise ValueError("block must be positive definite")
-    return _d_from_det(det)
+    for block in (block_a, block_b, block_c):
+        block.setflags(write=False)
+    return block_a, block_b, block_c
 
 
 def d_closed_form(mu: MassFractions, sigma1_sq: float, sigma2_sq: float) -> float:
@@ -426,7 +156,18 @@ def d_closed_form(mu: MassFractions, sigma1_sq: float, sigma2_sq: float) -> floa
     dsq = 4.0 * mu1**2 * mu2**2 + dm**2 * (
         dm**2 / 4.0 + mu1**2 * ratio + mu2**2 / ratio
     )
-    return _d_from_det(dsq)
+    # d = 1/2 is an exact physical floor reached at exact parameter
+    # relations; tiny float deficits below d^2 = 1/4 are clamped, anything
+    # beyond the tolerance is a genuinely unphysical state.
+    deficit = 0.25 - dsq
+    if deficit > _DET_DEFICIT_TOL:
+        raise ValueError(
+            f"block determinant {dsq} is below the physical floor 1/4; "
+            "the state is not a valid reduced one-mode Gaussian"
+        )
+    if deficit > 0.0:
+        return 0.5
+    return math.sqrt(dsq)
 
 
 def _xlog2x(x: float) -> float:

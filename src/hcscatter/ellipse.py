@@ -23,9 +23,7 @@ from .covariance import MassFractions
 __all__ = [
     "QuadraticForm2",
     "EllipseShape",
-    "mixing_matrix",
     "scattered_form",
-    "scattered_form_from_factors",
     "ellipse_from_form",
     "stretch_polynomial",
     "approx_final_ellipse",
@@ -92,17 +90,6 @@ class EllipseShape:
         )
 
 
-def mixing_matrix(mu: MassFractions) -> np.ndarray:
-    """Position-space mixing induced by the bounce.
-
-    The reflected product state evaluates the original single-particle
-    factors at L @ (x1, x2); its rows are the coefficient pairs of the two
-    mixed arguments.  det L = -1, so areas are preserved.
-    """
-    dm = mu.delta
-    return np.array([[dm, 2.0 * mu.mu2], [2.0 * mu.mu1, -dm]])
-
-
 def scattered_form(
     mu: MassFractions, sigma1_sq: float, sigma2_sq: float
 ) -> QuadraticForm2:
@@ -114,7 +101,10 @@ def scattered_form(
     * M22 = 4 mu2^2 / s1 + dm^2 / s2
     * M12 = 2 dm (mu2 / s1 - mu1 / s2)
 
-    The off-diagonal entry vanishes exactly when mu1 = mu2 or when
+    This is L^T diag(1/s1, 1/s2) L for the position mixing
+    L = [[dm, 2 mu2], [2 mu1, -dm]] (det L = -1, so areas are preserved)
+    that the bounce applies to the arguments of the packet factors.  The
+    off-diagonal entry vanishes exactly when mu1 = mu2 or when
     mu1 s1 = mu2 s2, the two cases in which the outgoing wave function
     factorizes and no entanglement is generated.
     """
@@ -126,18 +116,6 @@ def scattered_form(
     m22 = 4.0 * mu.mu2**2 / s1 + dm**2 / s2
     m12 = 2.0 * dm * (mu.mu2 / s1 - mu.mu1 / s2)
     return QuadraticForm2(np.array([[m11, m12], [m12, m22]]))
-
-
-def scattered_form_from_factors(
-    mu: MassFractions, sigma1_sq: float, sigma2_sq: float
-) -> QuadraticForm2:
-    """Same form built as L^T diag(1/s1, 1/s2) L; cross-checks scattered_form."""
-    if sigma1_sq <= 0.0 or sigma2_sq <= 0.0:
-        raise ValueError("widths must be positive")
-    mixing = mixing_matrix(mu)
-    inverse_widths = np.diag([1.0 / sigma1_sq, 1.0 / sigma2_sq])
-    product = mixing.T @ inverse_widths @ mixing
-    return QuadraticForm2(0.5 * (product + product.T))
 
 
 def ellipse_from_form(form: QuadraticForm2) -> EllipseShape:
@@ -193,21 +171,20 @@ def _approx_angle(mu1: float) -> float:
     return raw + math.pi if mu1 < 0.5 else raw
 
 
-def approx_final_ellipse(
-    mu: MassFractions | float, sigma1: float, sigma2: float
-) -> EllipseShape:
+def approx_final_ellipse(mu1: float, sigma1: float, sigma2: float) -> EllipseShape:
     """Wide-packet approximation of the outgoing ellipse.
 
     Valid for sigma1 >> sigma2 (a warning is emitted below ratio 10):
-    the long axis is sigma1 sqrt(Q(mu1)), the short axis shrinks by the
-    same factor to preserve area, and the tilt is
-    arctan(2 mu1 / (2 mu1 - 1)) resolved so that mu1 > 1/2 lands in
+    the axis along the wide packet becomes sigma1 sqrt(Q(mu1)), the other
+    shrinks by the same factor to preserve area, and the tilt of the first
+    is arctan(2 mu1 / (2 mu1 - 1)) resolved so that mu1 > 1/2 lands in
     (arctan 2, pi/2), mu1 < 1/2 in (pi/2, pi) and mu1 = 1/2 at pi/2.
-    Accepts a bare mu1 in (0, 1] as well as a MassFractions value.
+    Takes the bare fraction mu1 in (0, 1].  Far outside its range of
+    validity the second axis can come out longer; the axes are then
+    swapped and the angle turned by pi/2 so that the shape stays valid.
     """
     if sigma1 <= 0.0 or sigma2 <= 0.0:
         raise ValueError("widths must be positive")
-    mu1 = mu.mu1 if isinstance(mu, MassFractions) else float(mu)
     if not 0.0 < mu1 <= 1.0:
         raise ValueError(f"mu1 must lie in (0, 1], got {mu1}")
     if sigma1 / sigma2 < 10.0:
@@ -217,4 +194,7 @@ def approx_final_ellipse(
             stacklevel=2,
         )
     stretch = math.sqrt(stretch_polynomial(mu1))
-    return EllipseShape(stretch * sigma1, sigma2 / stretch, _approx_angle(mu1))
+    wide, narrow, angle = stretch * sigma1, sigma2 / stretch, _approx_angle(mu1)
+    if wide < narrow:
+        return EllipseShape(narrow, wide, (angle + 0.5 * math.pi) % math.pi)
+    return EllipseShape(wide, narrow, angle)

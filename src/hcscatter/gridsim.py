@@ -137,37 +137,6 @@ class WaveGrid:
         step = self.grid.dx2 if axis == 0 else self.grid.dx1
         return density.sum(axis=1 - axis) * step
 
-    def to_csv(self, path) -> None:
-        """Dump row-major (real, imag) pairs with a grid header line."""
-        g = self.grid
-        with open(path, "w", newline="") as fh:
-            fh.write(
-                f"# x1_min={g.x1_min:.17g} x1_max={g.x1_max:.17g} "
-                f"x2_min={g.x2_min:.17g} x2_max={g.x2_max:.17g} "
-                f"n1={g.n1} n2={g.n2}\n"
-            )
-            for value in self.amplitudes.ravel():
-                fh.write(f"{value.real:.17g},{value.imag:.17g}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "WaveGrid":
-        with open(path) as fh:
-            header = fh.readline()
-            if not header.startswith("#"):
-                raise ValueError("missing grid header line")
-            fields = dict(token.split("=") for token in header[1:].split())
-            grid = GridSpec(
-                float(fields["x1_min"]),
-                float(fields["x1_max"]),
-                float(fields["x2_min"]),
-                float(fields["x2_max"]),
-                int(fields["n1"]),
-                int(fields["n2"]),
-            )
-            data = np.loadtxt(fh, delimiter=",")
-        amplitudes = (data[:, 0] + 1j * data[:, 1]).reshape(grid.n1, grid.n2)
-        return cls(amplitudes, grid)
-
 
 @dataclass(frozen=True)
 class TransientCurve:
@@ -339,6 +308,25 @@ def _reflected_amplitudes(
     return e1.amplitude(r1) * e2.amplitude(r2)
 
 
+def _sample(
+    params: ScatterParams,
+    t: float,
+    grid: GridSpec | None,
+    grid_n: int,
+    coverage: float,
+    include: str,
+    label: str,
+    amplitudes,
+) -> WaveGrid:
+    """Sample ``amplitudes(e1, e2, x1, x2)`` of the packets evolved to t,
+    on ``grid`` or on an auto grid covering ``include``, and check the norm."""
+    if grid is None:
+        grid = auto_grid(params, t, include, grid_n, coverage)
+    x1, x2 = grid.axes()
+    e1, e2 = _evolved_pair(params, t)
+    return _check_norm(WaveGrid(amplitudes(e1, e2, x1, x2), grid), label)
+
+
 def free_state(
     params: ScatterParams,
     t: float = 0.0,
@@ -348,12 +336,8 @@ def free_state(
     coverage: float = 6.0,
 ) -> WaveGrid:
     """Sample the freely evolving product state f_t."""
-    if grid is None:
-        grid = auto_grid(params, t, "free", grid_n, coverage)
-    x1, x2 = grid.axes()
-    e1, e2 = _evolved_pair(params, t)
-    wave = WaveGrid(_free_amplitudes(e1, e2, x1, x2), grid)
-    return _check_norm(wave, "the free product state")
+    return _sample(params, t, grid, grid_n, coverage, "free", "the free product state",
+                   _free_amplitudes)
 
 
 def reflected_state(
@@ -370,15 +354,11 @@ def reflected_state(
     Schmidt entropy is the asymptotic entanglement; at equal masses the
     two packets simply trade places.
     """
-    if grid is None:
-        grid = auto_grid(params, t, "reflected", grid_n, coverage)
-    x1, x2 = grid.axes()
-    e1, e2 = _evolved_pair(params, t)
-    wave = WaveGrid(
-        _reflected_amplitudes(e1, e2, params.fractions, params.core_radius, x1, x2),
-        grid,
-    )
-    return _check_norm(wave, "the reflected state")
+    def amplitudes(e1, e2, x1, x2):
+        return _reflected_amplitudes(e1, e2, params.fractions, params.core_radius, x1, x2)
+
+    return _sample(params, t, grid, grid_n, coverage, "reflected", "the reflected state",
+                   amplitudes)
 
 
 def collision_state(
@@ -395,16 +375,14 @@ def collision_state(
     zero (the wall point itself included).  The auto grid covers the
     supports of both f_t and g_t.
     """
-    if grid is None:
-        grid = auto_grid(params, t, "both", grid_n, coverage)
-    x1, x2 = grid.axes()
-    e1, e2 = _evolved_pair(params, t)
-    outside = (x1[:, None] - x2[None, :]) > params.core_radius
-    psi = (
-        _free_amplitudes(e1, e2, x1, x2)
-        - _reflected_amplitudes(e1, e2, params.fractions, params.core_radius, x1, x2)
-    ) * outside
-    return _check_norm(WaveGrid(psi, grid), "the collision state")
+    def amplitudes(e1, e2, x1, x2):
+        outside = (x1[:, None] - x2[None, :]) > params.core_radius
+        return (
+            _free_amplitudes(e1, e2, x1, x2)
+            - _reflected_amplitudes(e1, e2, params.fractions, params.core_radius, x1, x2)
+        ) * outside
+
+    return _sample(params, t, grid, grid_n, coverage, "both", "the collision state", amplitudes)
 
 
 def schmidt_entropy(wave: WaveGrid) -> float:

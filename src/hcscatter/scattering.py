@@ -12,19 +12,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .covariance import (
-    EntanglementResult,
-    GaussianPacket,
-    MassFractions,
-    d_closed_form,
-)
+from .covariance import GaussianPacket, MassFractions
 
 __all__ = [
     "ScatterParams",
     "ZeroEntanglementClass",
-    "asymptotic_entanglement",
     "is_zero_entanglement",
     "d_asymptotic",
 ]
@@ -42,10 +36,12 @@ class ZeroEntanglementClass(enum.Enum):
 class ScatterParams:
     """Full parameter set of one collision scenario.
 
-    Masses are normalized to unit total mass on construction (only the
-    fractions matter for the entanglement; storing raw masses alongside
-    fractions would invite inconsistency).  Times fed to the grid
-    simulator are therefore measured in the matching unit.
+    Masses are validated and normalized to unit total mass on
+    construction by ``MassFractions.from_masses``; ``mass1``/``mass2``
+    then hold the fractions, which are also kept as ``fractions`` (only
+    the fractions matter for the entanglement).  Times fed to the grid
+    simulator are therefore measured in the matching unit.  Every number
+    must be finite.
 
     ``q1``/``q2`` default to ``8 * max(sigma1, sigma2) + core_radius`` so
     that the initial packets overlap neither each other nor the core.
@@ -59,10 +55,14 @@ class ScatterParams:
     core_radius: float = 0.0
     q1: float | None = None
     q2: float | None = None
+    fractions: MassFractions = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.mass1 <= 0.0 or self.mass2 <= 0.0:
-            raise ValueError(f"masses must be positive, got {self.mass1}, {self.mass2}")
+        mu = MassFractions.from_masses(self.mass1, self.mass2)
+        for name in ("sigma1_sq", "sigma2_sq", "momentum", "core_radius", "q1", "q2"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.sigma1_sq <= 0.0 or self.sigma2_sq <= 0.0:
             raise ValueError(
                 f"widths must be positive, got sigma1_sq={self.sigma1_sq}, "
@@ -75,9 +75,9 @@ class ScatterParams:
             )
         if self.core_radius < 0.0:
             raise ValueError(f"core radius must be non-negative, got {self.core_radius}")
-        total = self.mass1 + self.mass2
-        object.__setattr__(self, "mass1", self.mass1 / total)
-        object.__setattr__(self, "mass2", self.mass2 / total)
+        object.__setattr__(self, "fractions", mu)
+        object.__setattr__(self, "mass1", mu.mu1)
+        object.__setattr__(self, "mass2", mu.mu2)
         default_q = 8.0 * math.sqrt(max(self.sigma1_sq, self.sigma2_sq)) + self.core_radius
         if self.q1 is None:
             object.__setattr__(self, "q1", default_q)
@@ -102,10 +102,6 @@ class ScatterParams:
         return cls(mu.mu1, mu.mu2, sigma1_sq, sigma2_sq, **kwargs)
 
     @property
-    def fractions(self) -> MassFractions:
-        return MassFractions(self.mass1, self.mass2)
-
-    @property
     def packet1(self) -> GaussianPacket:
         return GaussianPacket(self.q1, -self.momentum, self.sigma1_sq)
 
@@ -117,16 +113,6 @@ class ScatterParams:
     def width_ratio(self) -> float:
         """sigma1 / sigma2 (widths, not squared widths)."""
         return math.sqrt(self.sigma1_sq / self.sigma2_sq)
-
-
-def asymptotic_entanglement(params: ScatterParams) -> EntanglementResult:
-    """Entanglement of the outgoing state, long after the collision.
-
-    Built from the closed-form d; independent of q1, q2, the momentum and
-    the core radius by construction.
-    """
-    d = d_closed_form(params.fractions, params.sigma1_sq, params.sigma2_sq)
-    return EntanglementResult.from_d(d)
 
 
 def is_zero_entanglement(
@@ -151,17 +137,16 @@ def is_zero_entanglement(
     return ZeroEntanglementClass.NONE
 
 
-def d_asymptotic(mu: MassFractions | float, width_ratio: float) -> float:
+def d_asymptotic(mu1: float, width_ratio: float) -> float:
     """Leading-order d for a large width ratio: |2 mu1 - 1| mu1 sigma1/sigma2.
 
-    Accepts either a MassFractions value or a bare mu1; the bare form also
-    admits the closed-interval limit mu1 = 1, where the expression attains
-    its global maximum (the exact pipeline keeps mu1 strictly inside the
-    open interval).
+    Takes the bare fraction mu1 in (0, 1] so that it also admits the
+    closed-interval limit mu1 = 1, where the expression attains its global
+    maximum (``MassFractions`` keeps mu1 strictly inside the open
+    interval).
     """
     if width_ratio <= 0.0:
         raise ValueError(f"width ratio must be positive, got {width_ratio}")
-    mu1 = mu.mu1 if isinstance(mu, MassFractions) else float(mu)
     if not 0.0 < mu1 <= 1.0:
         raise ValueError(f"mu1 must lie in (0, 1], got {mu1}")
     return abs(2.0 * mu1 - 1.0) * mu1 * width_ratio

@@ -14,16 +14,11 @@ import pytest
 
 from hcscatter.cli import SweepConfig, run_sweep_mu
 from hcscatter.covariance import (
-    SYMPLECTIC_FORM,
     MassFractions,
     closed_form_blocks,
-    com_relative_map,
     d_closed_form,
     entropy_from_d,
-    initial_covariance,
     purity_from_d,
-    scattering_map,
-    transform_covariance,
 )
 from hcscatter.ellipse import (
     approx_final_ellipse,
@@ -32,7 +27,15 @@ from hcscatter.ellipse import (
     stretch_polynomial,
 )
 from hcscatter.gridsim import reflected_state, schmidt_entropy, transient_curve
-from hcscatter.scattering import ScatterParams, d_asymptotic
+from hcscatter.scattering import ScatterParams
+from oracles import (
+    assemble,
+    com_relative_map,
+    scattered_covariance,
+    scattering_map,
+    symplectic_defect,
+    uncertainty_floor,
+)
 
 SEED = 20260810
 
@@ -56,15 +59,7 @@ def criterion(number, label, budget_seconds):
 def sweep_config(**overrides):
     base = dict(
         mode="sweep-mu",
-        mu1=0.25,
-        mass1=0.25,
-        mass2=0.75,
-        sigma1_sq=100.0,
-        sigma2_sq=1.0,
-        core_radius=0.5,
-        momentum=1.0,
-        q1=None,
-        q2=None,
+        params=ScatterParams(0.25, 0.75, 100.0, 1.0, momentum=1.0, core_radius=0.5),
         grid_n=512,
         coverage=6.0,
         points=99,
@@ -144,13 +139,11 @@ def test_criterion_4_block_equivalence():
         for _ in range(100):
             mu = MassFractions(float(rng.uniform(0.01, 0.99)))
             s1, s2 = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=2))
-            pipeline = transform_covariance(
-                initial_covariance(s1, s2), scattering_map(mu, 0.7)
-            )
-            assembled = closed_form_blocks(mu, s1, s2).assemble()
-            assert np.max(np.abs(pipeline.entries - assembled.entries)) <= 1e-10
-            det_a = np.linalg.det(pipeline.entries[:2, :2])
-            det_b = np.linalg.det(pipeline.entries[2:, 2:])
+            pipeline = scattered_covariance(mu, s1, s2, 0.7)
+            assembled = assemble(closed_form_blocks(mu, s1, s2))
+            assert np.max(np.abs(pipeline - assembled)) <= 1e-10
+            det_a = np.linalg.det(pipeline[:2, :2])
+            det_b = np.linalg.det(pipeline[2:, 2:])
             assert abs(det_a - det_b) <= 1e-10 * abs(det_a)
 
 
@@ -211,18 +204,11 @@ def test_criterion_8_structural_invariants():
             s1, s2 = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=2))
             radius = float(rng.uniform(0.0, 3.0))
 
-            for mapping in (com_relative_map(mu), scattering_map(mu, radius)):
-                defect = (
-                    mapping.linear.T @ SYMPLECTIC_FORM @ mapping.linear
-                    - SYMPLECTIC_FORM
-                )
-                assert np.max(np.abs(defect)) <= 1e-12
+            for linear in (com_relative_map(mu), scattering_map(mu, radius)[0]):
+                assert symplectic_defect(linear) <= 1e-12
 
-            moved = transform_covariance(
-                initial_covariance(s1, s2), scattering_map(mu, radius)
-            )
-            eigs = np.linalg.eigvalsh(moved.entries + 0.5j * SYMPLECTIC_FORM)
-            assert eigs.min() >= -1e-10
+            moved = scattered_covariance(mu, s1, s2, radius)
+            assert uncertainty_floor(moved) >= -1e-10
 
             d = d_closed_form(mu, s1, s2)
             assert d >= 0.5

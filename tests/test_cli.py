@@ -67,6 +67,25 @@ class TestSingle:
     def test_lone_mass_flag(self, capsys):
         assert main(["single", "--mass1", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["single", "--ratio", "nan"],
+            ["single", "--ratio", "inf"],
+            ["single", "--sigma2-sq", "inf"],
+            ["single", "--core-radius", "nan"],
+            ["single", "--momentum", "nan"],
+            ["single", "--mass1", "1", "--mass2", "inf"],
+            ["sweep-mu", "--ratio", "nan"],
+            ["ellipse", "--sigma1-sq", "nan"],
+        ],
+    )
+    def test_non_finite_input_is_a_validation_error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
 
 class TestSweepMu:
     def test_default_grid_reproduces_known_points(self, tmp_path):
@@ -131,6 +150,19 @@ class TestEllipse:
         main(["ellipse", "--mu1", "0.6", "--ratio", "15", "--format", "json",
               "--out", str(out)])
         record = json.loads(out.read_text())
+        assert record["final_area"] == pytest.approx(record["initial_area"], rel=1e-9)
+
+    def test_narrow_width_ratio(self, tmp_path):
+        # The wide-packet approximation swaps its axes here; the exact
+        # ellipse is unaffected.
+        out = tmp_path / "ellipse.json"
+        with pytest.warns(UserWarning, match="below 10"):
+            code = main(["ellipse", "--ratio", "1.5", "--format", "json", "--out", str(out)])
+        assert code == 0
+        record = json.loads(out.read_text())
+        approx_area = math.pi * record["approx_semi_major"] * record["approx_semi_minor"]
+        assert approx_area == pytest.approx(math.pi * 1.5, rel=1e-14)
+        assert record["approx_semi_major"] >= record["approx_semi_minor"]
         assert record["final_area"] == pytest.approx(record["initial_area"], rel=1e-9)
 
     def test_heavy_wide_packet_angle(self, tmp_path):

@@ -9,11 +9,10 @@ from hcscatter.ellipse import (
     QuadraticForm2,
     approx_final_ellipse,
     ellipse_from_form,
-    mixing_matrix,
     scattered_form,
-    scattered_form_from_factors,
     stretch_polynomial,
 )
+from oracles import mixing_matrix, scattered_form_from_factors
 
 
 def draw_parameters(rng):
@@ -52,7 +51,7 @@ class TestScatteredForm:
         for _ in range(25):
             mu, s1, s2 = draw_parameters(rng)
             direct = scattered_form(mu, s1, s2).entries
-            product = scattered_form_from_factors(mu, s1, s2).entries
+            product = scattered_form_from_factors(mu, s1, s2)
             assert np.allclose(direct, product, rtol=1e-12, atol=1e-14)
 
     def test_mixing_matrix_has_unit_area_distortion(self):
@@ -171,7 +170,7 @@ class TestApproxFinalEllipse:
         previous = None
         for ratio in (10.0, 100.0, 1000.0):
             exact = ellipse_from_form(scattered_form(mu, ratio**2, 1.0))
-            approx = approx_final_ellipse(mu, ratio, 1.0)
+            approx = approx_final_ellipse(mu.mu1, ratio, 1.0)
             errors = (
                 abs(approx.semi_major - exact.semi_major) / exact.semi_major,
                 abs(approx.semi_minor - exact.semi_minor) / exact.semi_minor,
@@ -201,6 +200,19 @@ class TestApproxFinalEllipse:
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError, match="mu1"):
             approx_final_ellipse(0.0, 10.0, 1.0)
+
+    @pytest.mark.parametrize("mu1", [0.2, 0.25, 0.3])
+    def test_narrow_wide_packet_swaps_axes(self, mu1):
+        # At ratio 1.5 the approximate axis along packet 1 comes out the
+        # shorter one: the axes swap and the tilt turns by pi/2.
+        with pytest.warns(UserWarning, match="below 10"):
+            shape = approx_final_ellipse(mu1, 1.5, 1.0)
+            wide = approx_final_ellipse(mu1, 15.0, 1.0)
+        scale = math.sqrt(stretch_polynomial(mu1))
+        assert (shape.semi_major, shape.semi_minor) == (1.0 / scale, 1.5 * scale)
+        assert shape.area == pytest.approx(math.pi * 1.5, rel=1e-15)
+        turned = (shape.angle_rad - wide.angle_rad) % math.pi
+        assert turned == pytest.approx(0.5 * math.pi, rel=1e-15)
 
 
 class TestEllipseShape:

@@ -253,15 +253,6 @@ class TestWaveGrid:
         with pytest.raises(ValueError, match="finite"):
             WaveGrid(amp, grid)
 
-    def test_csv_round_trip(self, tmp_path):
-        params = ScatterParams(1.0, 1.0, 2.0, 1.0, momentum=3.0)
-        wave = free_state(params, grid_n=64)
-        path = tmp_path / "wave.csv"
-        wave.to_csv(path)
-        loaded = WaveGrid.from_csv(path)
-        assert loaded.grid == wave.grid
-        assert np.array_equal(loaded.amplitudes, wave.amplitudes)
-
 
 class TestAutoGrid:
     def test_covers_both_states(self, reference_params):

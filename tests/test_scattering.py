@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hcscatter.covariance import MassFractions, d_closed_form
+from hcscatter.covariance import MassFractions, d_closed_form, entropy_from_d, purity_from_d
 from hcscatter.scattering import (
     ScatterParams,
     ZeroEntanglementClass,
-    asymptotic_entanglement,
     d_asymptotic,
     is_zero_entanglement,
 )
@@ -17,12 +16,23 @@ REF_D = math.sqrt(1.72015625)
 REF_ENTROPY_BITS = 1.797380017291221
 
 
+def asymptotic_entanglement(params):
+    """(d, entropy in bits, purity) of the outgoing state of a scenario."""
+    d = d_closed_form(params.fractions, params.sigma1_sq, params.sigma2_sq)
+    return d, entropy_from_d(d), purity_from_d(d)
+
+
 class TestScatterParams:
     def test_masses_normalized_immediately(self):
         params = ScatterParams(2.0, 6.0, 1.0, 1.0)
         assert params.mass1 == 0.25
         assert params.mass2 == 0.75
         assert params.fractions.mu1 == 0.25
+        # The pair is the one MassFractions.from_masses builds, never
+        # 1 - mu1: for masses 1 and 2.7 the two differ in the last bit.
+        mu = ScatterParams(1.0, 2.7, 1.0, 1.0).fractions
+        assert (mu.mu1, mu.mu2) == (1.0 / 3.7, 2.7 / 3.7)
+        assert mu.mu2 != 1.0 - mu.mu1
 
     def test_from_fractions(self):
         params = ScatterParams.from_fractions(0.3, 4.0, 1.0)
@@ -54,6 +64,9 @@ class TestScatterParams:
             (dict(core_radius=-1.0), "non-negative"),
             (dict(q1=0.2, core_radius=0.5), "outside the core"),
             (dict(q2=0.5, core_radius=0.5), "outside the core"),
+            (dict(momentum=math.nan), "momentum must be finite"),
+            (dict(core_radius=math.nan), "core_radius must be finite"),
+            (dict(q1=math.inf), "q1 must be finite"),
         ],
     )
     def test_rejects_invalid(self, kwargs, match):
@@ -63,24 +76,27 @@ class TestScatterParams:
     def test_rejects_nonpositive_widths(self):
         with pytest.raises(ValueError, match="widths must be positive"):
             ScatterParams(1.0, 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="sigma1_sq must be finite"):
+            ScatterParams(1.0, 1.0, math.inf, 1.0)
 
     def test_rejects_nonpositive_masses(self):
         with pytest.raises(ValueError, match="masses must be positive"):
             ScatterParams(0.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="masses must be finite"):
+            ScatterParams(math.nan, 1.0, 1.0, 1.0)
 
 
 class TestAsymptoticEntanglement:
     def test_equal_masses_generate_nothing(self):
-        result = asymptotic_entanglement(ScatterParams(1.0, 1.0, 50.0, 0.5))
-        assert result.d_value == 0.5
-        assert result.entropy_bits == 0.0
-        assert result.purity == 1.0
+        assert asymptotic_entanglement(ScatterParams(1.0, 1.0, 50.0, 0.5)) == (0.5, 0.0, 1.0)
 
     def test_reference_scenario(self):
-        result = asymptotic_entanglement(ScatterParams.from_fractions(0.25, 100.0, 1.0))
-        assert result.d_value == pytest.approx(REF_D, abs=1e-15)
-        assert result.entropy_bits == pytest.approx(REF_ENTROPY_BITS, abs=1e-12)
-        assert result.purity == pytest.approx(1.0 / (2.0 * REF_D), abs=1e-15)
+        d, entropy, purity = asymptotic_entanglement(
+            ScatterParams.from_fractions(0.25, 100.0, 1.0)
+        )
+        assert d == pytest.approx(REF_D, abs=1e-15)
+        assert entropy == pytest.approx(REF_ENTROPY_BITS, abs=1e-12)
+        assert purity == pytest.approx(1.0 / (2.0 * REF_D), abs=1e-15)
 
     def test_momentum_never_enters(self):
         results = [
@@ -138,10 +154,10 @@ class TestZeroEntanglementClassification:
 
     def test_classified_scenarios_carry_no_entropy(self):
         equal = ScatterParams(2.0, 2.0, 5.0, 1.0)
-        assert asymptotic_entanglement(equal).entropy_bits <= 1e-9
+        assert asymptotic_entanglement(equal)[1] <= 1e-9
         mu = MassFractions(0.3)
         balance = ScatterParams.from_fractions(0.3, 2.0, mu.mu1 * 2.0 / mu.mu2)
-        assert asymptotic_entanglement(balance).entropy_bits <= 1e-9
+        assert asymptotic_entanglement(balance)[1] <= 1e-9
 
 
 class TestDAsymptotic:
@@ -157,9 +173,6 @@ class TestDAsymptotic:
 
     def test_vanishes_at_equal_masses(self):
         assert d_asymptotic(0.5, 10.0) == 0.0
-
-    def test_accepts_mass_fractions(self):
-        assert d_asymptotic(MassFractions(0.25), 10.0) == d_asymptotic(0.25, 10.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="width ratio"):
