@@ -65,6 +65,9 @@ _DEFAULTS = {
 # silences file-supplied values on the other.
 _ALTERNATIVES = ((("sigma1_sq",), ("ratio",)), (("mu1",), ("mass1", "mass2")))
 
+# ratio ** 2 overflows a double above about 1.34e154.
+_MAX_RATIO = 1e154
+
 
 @dataclass
 class SweepConfig:
@@ -128,7 +131,12 @@ def _resolve(mode: str, supplied: dict) -> SweepConfig:
     if "sigma1_sq" in explicit:
         sigma1_sq = merged["sigma1_sq"]
     else:
-        sigma1_sq = merged["ratio"] ** 2 * sigma2_sq
+        ratio = merged["ratio"]
+        if not 0.0 < ratio <= _MAX_RATIO:
+            raise ValueError(
+                f"width ratio must be finite, positive and at most {_MAX_RATIO:g}, got {ratio}"
+            )
+        sigma1_sq = ratio**2 * sigma2_sq
 
     # Raw masses are normalized by ScatterParams; a bare mu1 enters as the
     # pair (mu1, 1 - mu1).
@@ -273,7 +281,7 @@ def run_transient(cfg: SweepConfig) -> dict:
     if not t_stop > t_start:
         raise ValueError("t_stop must exceed t_start")
     times = np.linspace(t_start, t_stop, cfg.points)
-    curve = transient_curve(params, times, grid_n=cfg.grid_n, coverage=cfg.coverage)
+    entropies = transient_curve(params, times, grid_n=cfg.grid_n, coverage=cfg.coverage)
     _, asymptote, _ = _entanglement(params.fractions, params.sigma1_sq, params.sigma2_sq)
     meta = {
         "mu1": params.fractions.mu1,
@@ -288,10 +296,7 @@ def run_transient(cfg: SweepConfig) -> dict:
         "analytic_entropy_bits": asymptote,
         "estimated_collision_time": t_collision,
     }
-    rows = [
-        {"time": t, "entropy_bits": s}
-        for t, s in zip(curve.times, curve.entropies)
-    ]
+    rows = [{"time": t, "entropy_bits": s} for t, s in zip(times.tolist(), entropies)]
     return {"meta": meta, "rows": rows}
 
 

@@ -81,9 +81,9 @@ class GaussianPacket:
     """A single-particle Gaussian wave packet.
 
     The wave function is ``alpha * exp(i K x) * exp(-(x - Q)^2 / (2 s^2))``
-    with center ``Q``, mean momentum ``K`` and squared width ``s^2``.  The
-    normalization prefactor ``alpha = (pi s^2)^(-1/4)`` is derived, never
-    stored.
+    with center ``Q``, mean momentum ``K``, squared width ``s^2`` and
+    ``alpha = (pi s^2)^(-1/4)``.  ``gridsim.free_evolve_packet`` evolves it
+    and samples its amplitude.
     """
 
     center: float
@@ -93,17 +93,6 @@ class GaussianPacket:
     def __post_init__(self) -> None:
         if not self.width_sq > 0.0:
             raise ValueError(f"width_sq must be positive, got {self.width_sq}")
-
-    @property
-    def norm_prefactor(self) -> float:
-        return (math.pi * self.width_sq) ** -0.25
-
-    def amplitude(self, x) -> np.ndarray:
-        """Complex wave-function values at position(s) ``x``."""
-        x = np.asarray(x, dtype=float)
-        return self.norm_prefactor * np.exp(
-            1j * self.momentum * x - (x - self.center) ** 2 / (2.0 * self.width_sq)
-        )
 
 
 def closed_form_blocks(

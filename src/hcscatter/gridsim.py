@@ -39,7 +39,6 @@ __all__ = [
     "CoverageError",
     "GridSpec",
     "WaveGrid",
-    "TransientCurve",
     "EvolvedPacket",
     "free_evolve_packet",
     "auto_grid",
@@ -128,36 +127,6 @@ class WaveGrid:
         """Riemann approximation of the squared L2 norm."""
         density = np.abs(self.amplitudes) ** 2
         return float(density.sum() * self.grid.dx1 * self.grid.dx2)
-
-    def marginal(self, axis: int = 0) -> np.ndarray:
-        """Position probability density of one particle (0 -> x1, 1 -> x2)."""
-        if axis not in (0, 1):
-            raise ValueError("axis must be 0 or 1")
-        density = np.abs(self.amplitudes) ** 2
-        step = self.grid.dx2 if axis == 0 else self.grid.dx1
-        return density.sum(axis=1 - axis) * step
-
-
-@dataclass(frozen=True)
-class TransientCurve:
-    """Entanglement entropy sampled along a list of times."""
-
-    times: tuple[float, ...]
-    entropies: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        times = tuple(float(t) for t in self.times)
-        entropies = tuple(float(s) for s in self.entropies)
-        if len(times) != len(entropies):
-            raise ValueError("times and entropies must have equal length")
-        if not times:
-            raise ValueError("need at least one time point")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("times must be strictly ascending")
-        if any(s < -1e-12 for s in entropies):
-            raise ValueError("entropies must be non-negative")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "entropies", entropies)
 
 
 @dataclass(frozen=True)
@@ -262,8 +231,8 @@ def auto_grid(
     The default six standard deviations keep the truncated probability
     mass far below the 1% norm budget.
     """
-    if coverage <= 0.0:
-        raise ValueError(f"coverage must be positive, got {coverage}")
+    if not 0.0 < coverage < math.inf:
+        raise ValueError(f"coverage must be positive and finite, got {coverage}")
     free_centers, free_stds, refl_centers, refl_stds = _moments(params, t)
     boxes = []
     if include in ("free", "both"):
@@ -311,17 +280,15 @@ def _reflected_amplitudes(
 def _sample(
     params: ScatterParams,
     t: float,
-    grid: GridSpec | None,
     grid_n: int,
     coverage: float,
     include: str,
     label: str,
     amplitudes,
 ) -> WaveGrid:
-    """Sample ``amplitudes(e1, e2, x1, x2)`` of the packets evolved to t,
-    on ``grid`` or on an auto grid covering ``include``, and check the norm."""
-    if grid is None:
-        grid = auto_grid(params, t, include, grid_n, coverage)
+    """Sample ``amplitudes(e1, e2, x1, x2)`` of the packets evolved to t on
+    an auto grid covering ``include``, and check the norm."""
+    grid = auto_grid(params, t, include, grid_n, coverage)
     x1, x2 = grid.axes()
     e1, e2 = _evolved_pair(params, t)
     return _check_norm(WaveGrid(amplitudes(e1, e2, x1, x2), grid), label)
@@ -330,20 +297,18 @@ def _sample(
 def free_state(
     params: ScatterParams,
     t: float = 0.0,
-    grid: GridSpec | None = None,
     *,
     grid_n: int = 512,
     coverage: float = 6.0,
 ) -> WaveGrid:
     """Sample the freely evolving product state f_t."""
-    return _sample(params, t, grid, grid_n, coverage, "free", "the free product state",
+    return _sample(params, t, grid_n, coverage, "free", "the free product state",
                    _free_amplitudes)
 
 
 def reflected_state(
     params: ScatterParams,
     t: float = 0.0,
-    grid: GridSpec | None = None,
     *,
     grid_n: int = 512,
     coverage: float = 6.0,
@@ -357,14 +322,13 @@ def reflected_state(
     def amplitudes(e1, e2, x1, x2):
         return _reflected_amplitudes(e1, e2, params.fractions, params.core_radius, x1, x2)
 
-    return _sample(params, t, grid, grid_n, coverage, "reflected", "the reflected state",
+    return _sample(params, t, grid_n, coverage, "reflected", "the reflected state",
                    amplitudes)
 
 
 def collision_state(
     params: ScatterParams,
     t: float,
-    grid: GridSpec | None = None,
     *,
     grid_n: int = 512,
     coverage: float = 6.0,
@@ -382,7 +346,7 @@ def collision_state(
             - _reflected_amplitudes(e1, e2, params.fractions, params.core_radius, x1, x2)
         ) * outside
 
-    return _sample(params, t, grid, grid_n, coverage, "both", "the collision state", amplitudes)
+    return _sample(params, t, grid_n, coverage, "both", "the collision state", amplitudes)
 
 
 def schmidt_entropy(wave: WaveGrid) -> float:
@@ -407,8 +371,9 @@ def transient_curve(
     *,
     grid_n: int = 512,
     coverage: float = 6.0,
-) -> TransientCurve:
-    """Entanglement entropy of the collision state along a time sequence.
+) -> tuple[float, ...]:
+    """Entanglement entropy (bits) of the collision state at each of the
+    strictly ascending ``times``.
 
     Each time point gets its own auto grid, so the moving and spreading
     packets stay covered throughout.  Time points are independent and the
@@ -417,8 +382,9 @@ def transient_curve(
     times = [float(t) for t in times]
     if not times:
         raise ValueError("need at least one time point")
-    entropies = [
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("times must be strictly ascending")
+    return tuple(
         schmidt_entropy(collision_state(params, t, grid_n=grid_n, coverage=coverage))
         for t in times
-    ]
-    return TransientCurve(tuple(times), tuple(entropies))
+    )

@@ -23,6 +23,9 @@ __all__ = [
     "d_asymptotic",
 ]
 
+# Half-width of each zero-entanglement locus in is_zero_entanglement.
+_LOCUS_TOL = 1e-9
+
 
 class ZeroEntanglementClass(enum.Enum):
     """Which exact condition, if any, forces vanishing entanglement."""
@@ -115,9 +118,7 @@ class ScatterParams:
         return math.sqrt(self.sigma1_sq / self.sigma2_sq)
 
 
-def is_zero_entanglement(
-    params: ScatterParams, tol: float = 1e-9
-) -> ZeroEntanglementClass:
+def is_zero_entanglement(params: ScatterParams) -> ZeroEntanglementClass:
     """Classify whether the scenario sits on a zero-entanglement locus.
 
     Equal masses are detected with an absolute tolerance on |mu1 - mu2|
@@ -125,14 +126,12 @@ def is_zero_entanglement(
     mu1 s1 = mu2 s2 with a relative one (scale-free in the widths).
     Equal masses take precedence when both conditions hold.
     """
-    if tol < 0.0:
-        raise ValueError(f"tolerance must be non-negative, got {tol}")
     mu = params.fractions
-    if abs(mu.delta) <= tol:
+    if abs(mu.delta) <= _LOCUS_TOL:
         return ZeroEntanglementClass.EQUAL_MASS
     lhs = mu.mu1 * params.sigma1_sq
     rhs = mu.mu2 * params.sigma2_sq
-    if abs(lhs - rhs) <= tol * max(lhs, rhs):
+    if abs(lhs - rhs) <= _LOCUS_TOL * max(lhs, rhs):
         return ZeroEntanglementClass.WIDTH_MASS_BALANCE
     return ZeroEntanglementClass.NONE
 

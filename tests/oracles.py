@@ -7,6 +7,10 @@ move with the linear part only.  Pushing the initial covariance through
 it derives ``closed_form_blocks``; here it stays in plain numpy so the
 closed form can be checked against it.  ``mu`` is anything with ``mu1``
 and ``mu2`` attributes, such as ``MassFractions``.
+
+The grid oracle samples packets through ``EvolvedPacket.amplitude``; the
+bare t = 0 amplitude and the one-particle marginals below are what its
+tests compare against.
 """
 
 import math
@@ -92,3 +96,18 @@ def scattered_form_from_factors(mu, s1, s2):
     """L^T diag(1/s1, 1/s2) L, the quadratic form of the outgoing Gaussian."""
     mixing = mixing_matrix(mu)
     return mixing.T @ np.diag([1.0 / s1, 1.0 / s2]) @ mixing
+
+
+def packet_amplitude(packet, x):
+    """(pi s^2)^(-1/4) exp(i K x - (x - Q)^2 / (2 s^2)) of a GaussianPacket."""
+    x = np.asarray(x, dtype=float)
+    return (math.pi * packet.width_sq) ** -0.25 * np.exp(
+        1j * packet.momentum * x - (x - packet.center) ** 2 / (2.0 * packet.width_sq)
+    )
+
+
+def marginal(wave, axis):
+    """Position density of particle 1 (axis 0) or 2 (axis 1) of a WaveGrid."""
+    density = np.abs(wave.amplitudes) ** 2
+    step = wave.grid.dx2 if axis == 0 else wave.grid.dx1
+    return density.sum(axis=1 - axis) * step

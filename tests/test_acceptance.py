@@ -31,6 +31,8 @@ from hcscatter.scattering import ScatterParams
 from oracles import (
     assemble,
     com_relative_map,
+    marginal,
+    packet_amplitude,
     scattered_covariance,
     scattering_map,
     symplectic_defect,
@@ -171,10 +173,10 @@ def test_criterion_6_equal_mass_exchange():
         params = ScatterParams(1.0, 1.0, 4.0, 1.0, momentum=2.0, core_radius=0.0)
         wave = reflected_state(params, grid_n=512)
         x1, x2 = wave.grid.axes()
-        swapped_x1 = np.abs(params.packet2.amplitude(x1)) ** 2
-        swapped_x2 = np.abs(params.packet1.amplitude(x2)) ** 2
-        dist1 = math.sqrt(np.sum((wave.marginal(0) - swapped_x1) ** 2) * wave.grid.dx1)
-        dist2 = math.sqrt(np.sum((wave.marginal(1) - swapped_x2) ** 2) * wave.grid.dx2)
+        swapped_x1 = np.abs(packet_amplitude(params.packet2, x1)) ** 2
+        swapped_x2 = np.abs(packet_amplitude(params.packet1, x2)) ** 2
+        dist1 = math.sqrt(np.sum((marginal(wave, 0) - swapped_x1) ** 2) * wave.grid.dx1)
+        dist2 = math.sqrt(np.sum((marginal(wave, 1) - swapped_x2) ** 2) * wave.grid.dx2)
         assert dist1 <= 1e-6
         assert dist2 <= 1e-6
 
@@ -184,16 +186,15 @@ def test_criterion_7_transient_entanglement():
         # Equal masses and widths: entanglement appears during the overlap
         # and dies off afterwards.
         symmetric = ScatterParams(1.0, 1.0, 1.0, 1.0, momentum=4.0, core_radius=0.5)
-        curve = transient_curve(symmetric, np.linspace(0.0, 5.0, 26), grid_n=512)
-        entropies = np.array(curve.entropies)
+        entropies = np.array(transient_curve(symmetric, np.linspace(0.0, 5.0, 26), grid_n=512))
         assert entropies.max() > 0.05
         assert entropies[-1] <= 0.02
 
         # Asymmetric run: the late-time entropy settles on the closed form.
         skewed = ScatterParams(1.0, 3.0, 16.0, 1.0, momentum=4.0, core_radius=0.5)
         target = entropy_from_d(d_closed_form(skewed.fractions, 16.0, 1.0))
-        curve = transient_curve(skewed, np.linspace(0.0, 9.0, 13), grid_n=512)
-        assert abs(curve.entropies[-1] - target) <= 2e-2
+        entropies = transient_curve(skewed, np.linspace(0.0, 9.0, 13), grid_n=512)
+        assert abs(entropies[-1] - target) <= 2e-2
 
 
 def test_criterion_8_structural_invariants():

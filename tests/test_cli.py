@@ -78,12 +78,16 @@ class TestSingle:
             ["single", "--mass1", "1", "--mass2", "inf"],
             ["sweep-mu", "--ratio", "nan"],
             ["ellipse", "--sigma1-sq", "nan"],
+            ["single", "--ratio", "-10"],
+            ["ellipse", "--ratio", "1e200"],
+            ["sweep-mu", "--ratio", "1e300"],
         ],
     )
     def test_non_finite_input_is_a_validation_error(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "must be finite" in captured.err
 
 
@@ -231,6 +235,15 @@ class TestOracleCheck:
         assert code == 2
         err = capsys.readouterr().err
         assert "deficit" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["oracle-check", "transient"])
+    @pytest.mark.parametrize("coverage", ["nan", "inf"])
+    def test_non_finite_coverage_is_a_validation_error(self, mode, coverage, capsys):
+        assert main([mode, "--grid-n", "64", "--points", "1", "--coverage", coverage]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: coverage must be positive and finite, got {coverage}\n"
 
 
 class TestConfigFile:

@@ -19,6 +19,7 @@ from oracles import (
     com_relative_map,
     d_from_block,
     initial_covariance,
+    packet_amplitude,
     reflection_map,
     scattered_covariance,
     scattering_map,
@@ -80,15 +81,16 @@ class TestMassFractions:
 class TestGaussianPacket:
     def test_norm_prefactor(self):
         packet = GaussianPacket(0.0, 1.0, 4.0)
-        # 1 / (sqrt(sigma) pi^(1/4)) with sigma = 2
-        assert packet.norm_prefactor == pytest.approx(
+        # At x = 0 the reference amplitude is its prefactor
+        # 1 / (sqrt(sigma) pi^(1/4)) with sigma = 2.
+        assert packet_amplitude(packet, 0.0) == pytest.approx(
             1.0 / (math.sqrt(2.0) * math.pi**0.25), rel=1e-15
         )
 
     def test_amplitude_normalized(self):
         packet = GaussianPacket(1.5, 3.0, 2.0)
         x = np.linspace(-20, 20, 20001)
-        norm = np.trapezoid(np.abs(packet.amplitude(x)) ** 2, x)
+        norm = np.trapezoid(np.abs(packet_amplitude(packet, x)) ** 2, x)
         assert norm == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_nonpositive_width(self):

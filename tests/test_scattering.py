@@ -142,15 +142,11 @@ class TestZeroEntanglementClassification:
         assert is_zero_entanglement(params) is ZeroEntanglementClass.EQUAL_MASS
 
     def test_tolerance_widens_the_balance_band(self):
-        params = ScatterParams.from_fractions(0.25, 3.001, 1.0)
-        assert is_zero_entanglement(params) is ZeroEntanglementClass.NONE
-        assert is_zero_entanglement(params, tol=1e-2) is (
-            ZeroEntanglementClass.WIDTH_MASS_BALANCE
-        )
-
-    def test_rejects_negative_tolerance(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            is_zero_entanglement(ScatterParams(1.0, 2.0, 1.0, 1.0), tol=-1.0)
+        # The balance 0.25 s1 = 0.75 holds at s1 = 3 to a relative 1e-9.
+        inside = ScatterParams.from_fractions(0.25, 3.0 * (1.0 + 5e-10), 1.0)
+        outside = ScatterParams.from_fractions(0.25, 3.0 * (1.0 + 2e-9), 1.0)
+        assert is_zero_entanglement(inside) is ZeroEntanglementClass.WIDTH_MASS_BALANCE
+        assert is_zero_entanglement(outside) is ZeroEntanglementClass.NONE
 
     def test_classified_scenarios_carry_no_entropy(self):
         equal = ScatterParams(2.0, 2.0, 5.0, 1.0)
