@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "MassFractions",
-    "GaussianPacket",
     "closed_form_blocks",
     "d_closed_form",
     "entropy_from_d",
@@ -74,25 +73,6 @@ class MassFractions:
     def delta(self) -> float:
         """The asymmetry mu1 - mu2 that drives entanglement generation."""
         return self.mu1 - self.mu2
-
-
-@dataclass(frozen=True)
-class GaussianPacket:
-    """A single-particle Gaussian wave packet.
-
-    The wave function is ``alpha * exp(i K x) * exp(-(x - Q)^2 / (2 s^2))``
-    with center ``Q``, mean momentum ``K``, squared width ``s^2`` and
-    ``alpha = (pi s^2)^(-1/4)``.  ``gridsim.free_evolve_packet`` evolves it
-    and samples its amplitude.
-    """
-
-    center: float
-    momentum: float
-    width_sq: float
-
-    def __post_init__(self) -> None:
-        if not self.width_sq > 0.0:
-            raise ValueError(f"width_sq must be positive, got {self.width_sq}")
 
 
 def closed_form_blocks(

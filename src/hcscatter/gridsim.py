@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import GaussianPacket, MassFractions
+from .covariance import MassFractions
 from .scattering import ScatterParams
 
 __all__ = [
@@ -131,28 +131,29 @@ class WaveGrid:
 
 @dataclass(frozen=True)
 class EvolvedPacket:
-    """A freely evolved Gaussian packet; the width parameter is complex.
+    """A Gaussian packet after free evolution; the squared width is complex.
 
-    Free evolution with mass m maps a packet of squared width s to one
-    with complex squared width s + i t / m, center drifting at K / m, plus
-    a global phase -K^2 t / (2 m).  The amplitude keeps a memory of the
-    original real width through its normalization.
+    At t = 0 the packet of center Q, mean momentum K and squared width
+    s^2 > 0 is ``(pi s^2)^(-1/4) exp(i K x) exp(-(x - Q)^2 / (2 s^2))``.
+    Free evolution with mass m maps it to one with complex squared width
+    s^2 + i t / m, center drifting at K / m, plus a global phase
+    -K^2 t / (2 m).  The real part of the width stays s^2, which the
+    amplitude's normalization keeps using.
     """
 
     center: float
     momentum: float
     width_sq: complex
-    origin_width_sq: float
     phase: float
 
     def __post_init__(self) -> None:
-        if self.origin_width_sq <= 0.0 or self.width_sq.real <= 0.0:
-            raise ValueError("packet widths must have positive real part")
+        if not self.width_sq.real > 0.0:
+            raise ValueError(f"width_sq must have a positive real part, got {self.width_sq}")
 
     def amplitude(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         prefactor = (
-            math.pi ** -0.25 * self.origin_width_sq ** 0.25 / cmath.sqrt(self.width_sq)
+            math.pi ** -0.25 * self.width_sq.real ** 0.25 / cmath.sqrt(self.width_sq)
         )
         return prefactor * np.exp(
             1j * (self.momentum * x + self.phase)
@@ -162,11 +163,14 @@ class EvolvedPacket:
     @property
     def density_std(self) -> float:
         """Standard deviation of the position probability density."""
-        return abs(self.width_sq) / math.sqrt(2.0 * self.origin_width_sq)
+        return abs(self.width_sq) / math.sqrt(2.0 * self.width_sq.real)
 
 
-def free_evolve_packet(packet: GaussianPacket, mass: float, t: float) -> EvolvedPacket:
-    """Evolve a Gaussian packet under the free Schroedinger equation.
+def free_evolve_packet(
+    center: float, momentum: float, width_sq: float, mass: float, t: float
+) -> EvolvedPacket:
+    """Evolve the t = 0 packet (center, momentum, width_sq) of the given
+    mass under the free Schroedinger equation.
 
     Exact closed form (no time stepping): s^2 -> s^2 + i t / m and
     Q -> Q + K t / m.  At t = 0 the input is reproduced exactly.
@@ -174,11 +178,10 @@ def free_evolve_packet(packet: GaussianPacket, mass: float, t: float) -> Evolved
     if mass <= 0.0:
         raise ValueError(f"mass must be positive, got {mass}")
     return EvolvedPacket(
-        center=packet.center + packet.momentum * t / mass,
-        momentum=packet.momentum,
-        width_sq=complex(packet.width_sq, t / mass),
-        origin_width_sq=packet.width_sq,
-        phase=-packet.momentum**2 * t / (2.0 * mass),
+        center=center + momentum * t / mass,
+        momentum=momentum,
+        width_sq=complex(width_sq, t / mass),
+        phase=-momentum**2 * t / (2.0 * mass),
     )
 
 
@@ -192,9 +195,11 @@ def _reflected_coordinates(mu: MassFractions, core_radius: float, x1, x2):
 
 
 def _evolved_pair(params: ScatterParams, t: float) -> tuple[EvolvedPacket, EvolvedPacket]:
+    """The scenario's two packets evolved to t: particle 1 starts at +q1
+    moving at -K, particle 2 at -q2 moving at +K."""
     return (
-        free_evolve_packet(params.packet1, params.mass1, t),
-        free_evolve_packet(params.packet2, params.mass2, t),
+        free_evolve_packet(params.q1, -params.momentum, params.sigma1_sq, params.mass1, t),
+        free_evolve_packet(-params.q2, params.momentum, params.sigma2_sq, params.mass2, t),
     )
 
 

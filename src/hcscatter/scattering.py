@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .covariance import GaussianPacket, MassFractions
+from .covariance import MassFractions
 
 __all__ = [
     "ScatterParams",
@@ -91,26 +91,6 @@ class ScatterParams:
                 f"packets must start outside the core: need q1, q2 > "
                 f"{self.core_radius}, got q1={self.q1}, q2={self.q2}"
             )
-
-    @classmethod
-    def from_fractions(
-        cls,
-        mu1: float,
-        sigma1_sq: float,
-        sigma2_sq: float,
-        **kwargs,
-    ) -> "ScatterParams":
-        """Build from the mass fraction of particle 1 instead of raw masses."""
-        mu = MassFractions(mu1)
-        return cls(mu.mu1, mu.mu2, sigma1_sq, sigma2_sq, **kwargs)
-
-    @property
-    def packet1(self) -> GaussianPacket:
-        return GaussianPacket(self.q1, -self.momentum, self.sigma1_sq)
-
-    @property
-    def packet2(self) -> GaussianPacket:
-        return GaussianPacket(-self.q2, self.momentum, self.sigma2_sq)
 
     @property
     def width_ratio(self) -> float:

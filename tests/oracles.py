@@ -98,12 +98,18 @@ def scattered_form_from_factors(mu, s1, s2):
     return mixing.T @ np.diag([1.0 / s1, 1.0 / s2]) @ mixing
 
 
-def packet_amplitude(packet, x):
-    """(pi s^2)^(-1/4) exp(i K x - (x - Q)^2 / (2 s^2)) of a GaussianPacket."""
+def packet_amplitude(center, momentum, width_sq, x):
+    """(pi s^2)^(-1/4) exp(i K x - (x - Q)^2 / (2 s^2)), the t = 0 packet
+    of center Q, momentum K and squared width s^2."""
     x = np.asarray(x, dtype=float)
-    return (math.pi * packet.width_sq) ** -0.25 * np.exp(
-        1j * packet.momentum * x - (x - packet.center) ** 2 / (2.0 * packet.width_sq)
+    return (math.pi * width_sq) ** -0.25 * np.exp(
+        1j * momentum * x - (x - center) ** 2 / (2.0 * width_sq)
     )
+
+
+def trapezoid(y, x):
+    """Trapezoidal rule (numpy calls it trapz before 2.0, trapezoid after)."""
+    return float(np.sum((y[1:] + y[:-1]) * np.diff(x)) / 2.0)
 
 
 def marginal(wave, axis):

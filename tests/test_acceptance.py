@@ -127,9 +127,7 @@ def test_criterion_3_oracle_equivalence():
         for _ in range(10):
             mu1 = float(rng.uniform(0.1, 0.9))
             ratio = float(rng.uniform(1.0, 20.0))
-            params = ScatterParams.from_fractions(
-                mu1, ratio**2, 1.0, core_radius=0.5
-            )
+            params = ScatterParams(mu1, 1.0 - mu1, ratio**2, 1.0, core_radius=0.5)
             analytic = entropy_from_d(d_closed_form(params.fractions, ratio**2, 1.0))
             sampled = schmidt_entropy(reflected_state(params, grid_n=512))
             assert abs(sampled - analytic) <= 1e-3
@@ -173,8 +171,10 @@ def test_criterion_6_equal_mass_exchange():
         params = ScatterParams(1.0, 1.0, 4.0, 1.0, momentum=2.0, core_radius=0.0)
         wave = reflected_state(params, grid_n=512)
         x1, x2 = wave.grid.axes()
-        swapped_x1 = np.abs(packet_amplitude(params.packet2, x1)) ** 2
-        swapped_x2 = np.abs(packet_amplitude(params.packet1, x2)) ** 2
+        # Particle 2 starts at -q2 moving at +K, particle 1 at +q1 moving at -K.
+        k = params.momentum
+        swapped_x1 = np.abs(packet_amplitude(-params.q2, k, params.sigma2_sq, x1)) ** 2
+        swapped_x2 = np.abs(packet_amplitude(params.q1, -k, params.sigma1_sq, x2)) ** 2
         dist1 = math.sqrt(np.sum((marginal(wave, 0) - swapped_x1) ** 2) * wave.grid.dx1)
         dist2 = math.sqrt(np.sum((marginal(wave, 1) - swapped_x2) ** 2) * wave.grid.dx2)
         assert dist1 <= 1e-6

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcscatter.covariance import (
-    GaussianPacket,
     MassFractions,
     closed_form_blocks,
     d_closed_form,
@@ -24,6 +23,7 @@ from oracles import (
     scattered_covariance,
     scattering_map,
     symplectic_defect,
+    trapezoid,
     uncertainty_floor,
 )
 
@@ -79,23 +79,18 @@ class TestMassFractions:
 
 
 class TestGaussianPacket:
+    # The t = 0 packet amplitude of the oracle that the grid tests use.
     def test_norm_prefactor(self):
-        packet = GaussianPacket(0.0, 1.0, 4.0)
         # At x = 0 the reference amplitude is its prefactor
         # 1 / (sqrt(sigma) pi^(1/4)) with sigma = 2.
-        assert packet_amplitude(packet, 0.0) == pytest.approx(
+        assert packet_amplitude(0.0, 1.0, 4.0, 0.0) == pytest.approx(
             1.0 / (math.sqrt(2.0) * math.pi**0.25), rel=1e-15
         )
 
     def test_amplitude_normalized(self):
-        packet = GaussianPacket(1.5, 3.0, 2.0)
         x = np.linspace(-20, 20, 20001)
-        norm = np.trapezoid(np.abs(packet_amplitude(packet, x)) ** 2, x)
+        norm = trapezoid(np.abs(packet_amplitude(1.5, 3.0, 2.0, x)) ** 2, x)
         assert norm == pytest.approx(1.0, abs=1e-9)
-
-    def test_rejects_nonpositive_width(self):
-        with pytest.raises(ValueError, match="width_sq must be positive"):
-            GaussianPacket(0.0, 1.0, 0.0)
 
 
 class TestInitialCovariance:

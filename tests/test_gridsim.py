@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hcscatter.covariance import GaussianPacket, MassFractions, d_closed_form, entropy_from_d
+from hcscatter.covariance import MassFractions, d_closed_form, entropy_from_d
 from hcscatter.gridsim import (
     CoverageError,
     GridSpec,
@@ -18,14 +18,14 @@ from hcscatter.gridsim import (
     transient_curve,
 )
 from hcscatter.scattering import ScatterParams
-from oracles import marginal, packet_amplitude
+from oracles import marginal, packet_amplitude, trapezoid
 
 REF_ENTROPY_BITS = 1.797380017291221  # mu1 = 1/4, width ratio 10
 
 
 @pytest.fixture
 def reference_params():
-    return ScatterParams.from_fractions(0.25, 100.0, 1.0, core_radius=0.5)
+    return ScatterParams(0.25, 0.75, 100.0, 1.0, core_radius=0.5)
 
 
 class TestGridSpec:
@@ -47,38 +47,53 @@ class TestGridSpec:
 
 class TestFreeEvolution:
     def test_time_zero_is_identity(self):
-        packet = GaussianPacket(2.0, -3.0, 1.7)
-        evolved = free_evolve_packet(packet, 1.3, 0.0)
-        assert evolved.center == packet.center
-        assert evolved.momentum == packet.momentum
-        assert evolved.width_sq == complex(packet.width_sq, 0.0)
+        evolved = free_evolve_packet(2.0, -3.0, 1.7, 1.3, 0.0)
+        assert evolved.center == 2.0
+        assert evolved.momentum == -3.0
+        assert evolved.width_sq == complex(1.7, 0.0)
         assert evolved.phase == 0.0
         x = np.linspace(-5.0, 8.0, 400)
-        assert np.allclose(evolved.amplitude(x), packet_amplitude(packet, x), atol=1e-15)
+        assert np.allclose(
+            evolved.amplitude(x), packet_amplitude(2.0, -3.0, 1.7, x), atol=1e-15
+        )
 
     def test_width_magnitude_grows(self):
-        packet = GaussianPacket(0.0, 1.0, 1.0)
-        mags = [abs(free_evolve_packet(packet, 2.0, t).width_sq) for t in (0.0, 0.5, 1.0, 4.0)]
+        mags = [abs(free_evolve_packet(0.0, 1.0, 1.0, 2.0, t).width_sq)
+                for t in (0.0, 0.5, 1.0, 4.0)]
         assert all(b > a for a, b in zip(mags, mags[1:]))
         # Time reversal spreads just the same.
-        assert abs(free_evolve_packet(packet, 2.0, -4.0).width_sq) == mags[-1]
+        assert abs(free_evolve_packet(0.0, 1.0, 1.0, 2.0, -4.0).width_sq) == mags[-1]
 
     def test_density_remains_normalized(self):
         # Quadrature oracle: integrate the evolved density directly.
-        packet = GaussianPacket(0.0, 2.0, 1.0)
-        evolved = free_evolve_packet(packet, 1.0, 5.0)
+        evolved = free_evolve_packet(0.0, 2.0, 1.0, 1.0, 5.0)
         x = np.linspace(-80.0, 80.0, 16001)
-        norm = np.trapezoid(np.abs(evolved.amplitude(x)) ** 2, x)
+        norm = trapezoid(np.abs(evolved.amplitude(x)) ** 2, x)
         assert norm == pytest.approx(1.0, abs=1e-6)
 
     def test_center_drifts_at_group_velocity(self):
-        packet = GaussianPacket(1.0, 3.0, 2.0)
-        evolved = free_evolve_packet(packet, 1.5, 2.0)
+        evolved = free_evolve_packet(1.0, 3.0, 2.0, 1.5, 2.0)
         assert evolved.center == pytest.approx(1.0 + 3.0 * 2.0 / 1.5, rel=1e-15)
 
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(ValueError, match="mass must be positive"):
-            free_evolve_packet(GaussianPacket(0.0, 1.0, 1.0), 0.0, 1.0)
+            free_evolve_packet(0.0, 1.0, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("width_sq", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_width(self, width_sq):
+        with pytest.raises(ValueError, match="width_sq must have a positive real part"):
+            free_evolve_packet(0.0, 1.0, width_sq, 1.0, 1.0)
+
+    def test_scenario_packets(self):
+        # Particle 1 starts at +q1 moving at -K, particle 2 at -q2 moving
+        # at +K: the free state at t = 0 is the product of those packets.
+        params = ScatterParams(1.0, 2.0, 2.0, 3.0, momentum=5.0, q1=7.0, q2=9.0)
+        wave = free_state(params, grid_n=128)
+        x1, x2 = wave.grid.axes()
+        expected = np.outer(
+            packet_amplitude(7.0, -5.0, 2.0, x1), packet_amplitude(-9.0, 5.0, 3.0, x2)
+        )
+        assert np.max(np.abs(wave.amplitudes - expected)) <= 1e-12
 
 
 class TestReflectedState:
@@ -93,7 +108,8 @@ class TestReflectedState:
         wave = reflected_state(params, grid_n=128)
         x1, x2 = wave.grid.axes()
         swapped = np.outer(
-            packet_amplitude(params.packet2, x1), packet_amplitude(params.packet1, x2)
+            packet_amplitude(-params.q2, params.momentum, params.sigma2_sq, x1),
+            packet_amplitude(params.q1, -params.momentum, params.sigma1_sq, x2),
         )
         assert np.max(np.abs(wave.amplitudes - swapped)) <= 1e-12
 
@@ -103,8 +119,8 @@ class TestReflectedState:
         # of the mixed arguments.
         mu = MassFractions(0.3)
         s1, s2 = 4.0, 1.0
-        e1 = free_evolve_packet(GaussianPacket(0.0, 0.0, s1), mu.mu1, 0.0)
-        e2 = free_evolve_packet(GaussianPacket(0.0, 0.0, s2), mu.mu2, 0.0)
+        e1 = free_evolve_packet(0.0, 0.0, s1, mu.mu1, 0.0)
+        e2 = free_evolve_packet(0.0, 0.0, s2, mu.mu2, 0.0)
         x1 = np.linspace(-8.0, 8.0, 160)
         x2 = np.linspace(-6.0, 6.0, 150)
         sampled = _reflected_amplitudes(e1, e2, mu, 0.0, x1, x2)
@@ -131,8 +147,9 @@ class TestReflectedState:
         wave = reflected_state(params, grid_n=256)
         x1, x2 = wave.grid.axes()
         # Initial marginals with the particles swapped, evaluated exactly.
-        expected_x1 = np.abs(packet_amplitude(params.packet2, x1)) ** 2
-        expected_x2 = np.abs(packet_amplitude(params.packet1, x2)) ** 2
+        k = params.momentum
+        expected_x1 = np.abs(packet_amplitude(-params.q2, k, params.sigma2_sq, x1)) ** 2
+        expected_x2 = np.abs(packet_amplitude(params.q1, -k, params.sigma1_sq, x2)) ** 2
         dist1 = math.sqrt(np.sum((marginal(wave, 0) - expected_x1) ** 2) * wave.grid.dx1)
         dist2 = math.sqrt(np.sum((marginal(wave, 1) - expected_x2) ** 2) * wave.grid.dx2)
         assert dist1 <= 1e-6
@@ -147,12 +164,9 @@ class TestSchmidtEntropy:
     def test_balanced_two_term_superposition_is_one_bit(self):
         grid = GridSpec(-16.0, 16.0, -16.0, 16.0, 256, 256)
         x1, x2 = grid.axes()
-        phi = GaussianPacket(-6.0, 0.0, 1.0)
-        chi = GaussianPacket(6.0, 0.0, 1.0)
-        psi = (
-            np.outer(packet_amplitude(phi, x1), packet_amplitude(chi, x2))
-            + np.outer(packet_amplitude(chi, x1), packet_amplitude(phi, x2))
-        ) / math.sqrt(2.0)
+        phi1, chi1 = packet_amplitude(-6.0, 0.0, 1.0, x1), packet_amplitude(6.0, 0.0, 1.0, x1)
+        phi2, chi2 = packet_amplitude(-6.0, 0.0, 1.0, x2), packet_amplitude(6.0, 0.0, 1.0, x2)
+        psi = (np.outer(phi1, chi2) + np.outer(chi1, phi2)) / math.sqrt(2.0)
         assert schmidt_entropy(WaveGrid(psi, grid)) == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_closed_form_on_reference_case(self, reference_params):
@@ -167,8 +181,8 @@ class TestSchmidtEntropy:
     def test_rejects_unnormalized_state(self):
         grid = GridSpec(-8.0, 8.0, -8.0, 8.0, 64, 64)
         x1, x2 = grid.axes()
-        phi = GaussianPacket(0.0, 0.0, 1.0)
-        psi = 0.5 * np.outer(packet_amplitude(phi, x1), packet_amplitude(phi, x2))
+        phi = packet_amplitude(0.0, 0.0, 1.0, x1)
+        psi = 0.5 * np.outer(phi, phi)
         with pytest.raises(CoverageError):
             schmidt_entropy(WaveGrid(psi, grid))
 

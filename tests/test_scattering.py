@@ -34,24 +34,10 @@ class TestScatterParams:
         assert (mu.mu1, mu.mu2) == (1.0 / 3.7, 2.7 / 3.7)
         assert mu.mu2 != 1.0 - mu.mu1
 
-    def test_from_fractions(self):
-        params = ScatterParams.from_fractions(0.3, 4.0, 1.0)
-        assert params.mass1 == pytest.approx(0.3, abs=1e-15)
-        assert params.mass2 == pytest.approx(0.7, abs=1e-15)
-
     def test_default_centers_clear_the_core(self):
         params = ScatterParams(1.0, 1.0, 9.0, 1.0, core_radius=0.5)
         assert params.q1 == pytest.approx(8.0 * 3.0 + 0.5)
         assert params.q2 == params.q1
-
-    def test_packets(self):
-        params = ScatterParams(1.0, 1.0, 2.0, 3.0, momentum=5.0, q1=7.0, q2=9.0)
-        assert params.packet1.center == 7.0
-        assert params.packet1.momentum == -5.0
-        assert params.packet1.width_sq == 2.0
-        assert params.packet2.center == -9.0
-        assert params.packet2.momentum == 5.0
-        assert params.packet2.width_sq == 3.0
 
     def test_width_ratio(self):
         assert ScatterParams(1.0, 1.0, 100.0, 1.0).width_ratio == 10.0
@@ -91,28 +77,25 @@ class TestAsymptoticEntanglement:
         assert asymptotic_entanglement(ScatterParams(1.0, 1.0, 50.0, 0.5)) == (0.5, 0.0, 1.0)
 
     def test_reference_scenario(self):
-        d, entropy, purity = asymptotic_entanglement(
-            ScatterParams.from_fractions(0.25, 100.0, 1.0)
-        )
+        d, entropy, purity = asymptotic_entanglement(ScatterParams(0.25, 0.75, 100.0, 1.0))
         assert d == pytest.approx(REF_D, abs=1e-15)
         assert entropy == pytest.approx(REF_ENTROPY_BITS, abs=1e-12)
         assert purity == pytest.approx(1.0 / (2.0 * REF_D), abs=1e-15)
 
     def test_momentum_never_enters(self):
         results = [
-            asymptotic_entanglement(
-                ScatterParams.from_fractions(0.25, 100.0, 1.0, momentum=k)
-            )
+            asymptotic_entanglement(ScatterParams(0.25, 0.75, 100.0, 1.0, momentum=k))
             for k in (1.0, 5.0, 50.0)
         ]
         assert all(r == results[0] for r in results)
 
     def test_geometry_never_enters(self):
         rng = np.random.default_rng(31)
-        baseline = asymptotic_entanglement(ScatterParams.from_fractions(0.6, 9.0, 1.0))
+        baseline = asymptotic_entanglement(ScatterParams(0.6, 0.4, 9.0, 1.0))
         for _ in range(10):
-            params = ScatterParams.from_fractions(
+            params = ScatterParams(
                 0.6,
+                0.4,
                 9.0,
                 1.0,
                 momentum=float(rng.uniform(0.1, 40.0)),
@@ -129,11 +112,11 @@ class TestZeroEntanglementClassification:
         assert is_zero_entanglement(params) is ZeroEntanglementClass.EQUAL_MASS
 
     def test_width_mass_balance(self):
-        params = ScatterParams.from_fractions(0.25, 3.0, 1.0)
+        params = ScatterParams(0.25, 0.75, 3.0, 1.0)
         assert is_zero_entanglement(params) is ZeroEntanglementClass.WIDTH_MASS_BALANCE
 
     def test_generic_case(self):
-        params = ScatterParams.from_fractions(0.7, 1.0, 1.0)
+        params = ScatterParams(0.7, 0.3, 1.0, 1.0)
         assert is_zero_entanglement(params) is ZeroEntanglementClass.NONE
 
     def test_equal_mass_takes_precedence(self):
@@ -143,8 +126,8 @@ class TestZeroEntanglementClassification:
 
     def test_tolerance_widens_the_balance_band(self):
         # The balance 0.25 s1 = 0.75 holds at s1 = 3 to a relative 1e-9.
-        inside = ScatterParams.from_fractions(0.25, 3.0 * (1.0 + 5e-10), 1.0)
-        outside = ScatterParams.from_fractions(0.25, 3.0 * (1.0 + 2e-9), 1.0)
+        inside = ScatterParams(0.25, 0.75, 3.0 * (1.0 + 5e-10), 1.0)
+        outside = ScatterParams(0.25, 0.75, 3.0 * (1.0 + 2e-9), 1.0)
         assert is_zero_entanglement(inside) is ZeroEntanglementClass.WIDTH_MASS_BALANCE
         assert is_zero_entanglement(outside) is ZeroEntanglementClass.NONE
 
@@ -152,7 +135,7 @@ class TestZeroEntanglementClassification:
         equal = ScatterParams(2.0, 2.0, 5.0, 1.0)
         assert asymptotic_entanglement(equal)[1] <= 1e-9
         mu = MassFractions(0.3)
-        balance = ScatterParams.from_fractions(0.3, 2.0, mu.mu1 * 2.0 / mu.mu2)
+        balance = ScatterParams(0.3, 0.7, 2.0, mu.mu1 * 2.0 / mu.mu2)
         assert asymptotic_entanglement(balance)[1] <= 1e-9
 
 
