@@ -1,10 +1,8 @@
 """Command-line front end.
 
-Subcommands: single (one closed-form evaluation), sweep-mu (d and entropy
-as a function of mu1 at fixed width ratio), ellipse (exact and
-approximate outgoing-ellipse geometry with boundary points), transient
-(entropy along a time grid from the image solution), oracle-check
-(Schmidt entropy of the sampled state against the closed form).
+One parser: a positional argument picks one of the five ``MODES``,
+which ``--help`` lists with their descriptions, and every mode takes the
+same flags.
 
 Outputs are CSV (scalars in '#' header lines, 17 significant digits) or
 JSON; identical configurations produce byte-identical files.  Exit codes:
@@ -42,7 +40,14 @@ EXIT_ORACLE = 4
 
 ORACLE_TOL_BITS = 1e-3
 
-MODES = ("single", "sweep-mu", "ellipse", "transient", "oracle-check")
+# Each mode with the one-line description that --help prints.
+MODES = {
+    "single": "closed-form evaluation of one scenario",
+    "sweep-mu": "d, entropy and purity over a mu1 grid at fixed width ratio",
+    "ellipse": "outgoing-ellipse geometry with boundary points",
+    "transient": "entropy along a time grid from the image solution",
+    "oracle-check": "Schmidt entropy of the sampled state vs the closed form",
+}
 
 # Baseline defaults; entries under a mode name override them.
 _DEFAULTS = {
@@ -375,8 +380,15 @@ def _emit(record: dict, cfg: SweepConfig) -> None:
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The CLI parser, and the type of each scenario and numerics key,
     which configuration files share with the flags."""
-    common = argparse.ArgumentParser(add_help=False)
-    group = common.add_argument_group("scenario")
+    parser = argparse.ArgumentParser(
+        prog="hcscatter",
+        usage="%(prog)s [-h] mode [options]",
+        description="Entanglement from 1D hard-core scattering of two Gaussian packets.\n\n"
+        "modes:\n" + "\n".join(f"  {mode:<14}{text}" for mode, text in MODES.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("mode", choices=MODES, metavar="mode", help="one of the modes above")
+    group = parser.add_argument_group("scenario")
     group.add_argument("--mu1", type=float, help="mass fraction of particle 1")
     group.add_argument("--mass1", type=float, help="raw mass of particle 1")
     group.add_argument("--mass2", type=float, help="raw mass of particle 2")
@@ -391,7 +403,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     group.add_argument("--momentum", type=float, help="approach momentum K")
     group.add_argument("--q1", type=float, help="initial center of packet 1 (> a)")
     group.add_argument("--q2", type=float, help="initial center distance of packet 2 (> a)")
-    numerics = common.add_argument_group("numerics and output")
+    numerics = parser.add_argument_group("numerics and output")
     numerics.add_argument("--grid-n", type=int, dest="grid_n",
                           help="grid points per axis (default 512)")
     numerics.add_argument("--coverage", type=float,
@@ -405,24 +417,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                           help="output format (default csv)")
     numerics.add_argument("--config", help="flat key=value configuration file; "
                                            "explicit flags win")
-
-    parser = argparse.ArgumentParser(
-        prog="hcscatter",
-        description="Entanglement from 1D hard-core scattering of two Gaussian packets.",
-    )
-    sub = parser.add_subparsers(dest="mode", required=True)
-    sub.add_parser("single", parents=[common],
-                   help="closed-form evaluation of one scenario")
-    sub.add_parser("sweep-mu", parents=[common],
-                   help="d, entropy and purity over a mu1 grid at fixed width ratio")
-    sub.add_parser("ellipse", parents=[common],
-                   help="outgoing-ellipse geometry with boundary points")
-    sub.add_parser("transient", parents=[common],
-                   help="entropy along a time grid from the image solution")
-    sub.add_parser("oracle-check", parents=[common],
-                   help="Schmidt entropy of the sampled state vs the closed form")
-    types = {action.dest: action.type or str
-             for action in common._actions if action.dest != "config"}
+    types = {action.dest: action.type or str for action in parser._actions
+             if action.dest not in ("help", "mode", "config")}
     return parser, types
 
 

@@ -1,10 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hcscatter.cli import main
+from hcscatter.cli import _build_parser, main
 
 
 def run_csv_rows(path):
@@ -21,6 +22,41 @@ def run_csv_rows(path):
         else:
             rows.append(line.split(","))
     return meta, header, rows
+
+
+GOLDEN_CASES = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())
+
+
+class TestParser:
+    def test_help_describes_every_mode(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for line in (
+            "single closed-form evaluation of one scenario",
+            "sweep-mu d, entropy and purity over a mu1 grid at fixed width ratio",
+            "ellipse outgoing-ellipse geometry with boundary points",
+            "transient entropy along a time grid from the image solution",
+            "oracle-check Schmidt entropy of the sampled state vs the closed form",
+        ):
+            assert line in text
+
+    def test_golden_argv_parse_flag_by_flag(self):
+        # Every mode takes every flag, before or after the mode, into the
+        # flag's key with the flag's type.
+        parser, types = _build_parser()
+        for case in GOLDEN_CASES.values():
+            mode, *flags = case["argv"]
+            args = parser.parse_args([mode, *flags])
+            assert args == parser.parse_args([*flags, mode])
+            assert args.mode == mode
+            given = dict(zip(flags[::2], flags[1::2]))
+            assert args.config == given.pop("--config", None)
+            for key, type_ in types.items():
+                value = given.pop("--" + key.replace("_", "-"), None)
+                assert getattr(args, key) == (None if value is None else type_(value))
+            assert not given
 
 
 class TestSingle:
