@@ -5,7 +5,8 @@ which ``--help`` lists with their descriptions, and every mode takes the
 same flags.
 
 Outputs are CSV (scalars in '#' header lines, 17 significant digits) or
-JSON; identical configurations produce byte-identical files.  Exit codes:
+JSON; identical configurations produce byte-identical files, and
+warnings go to stderr as one 'warning: ...' line each.  Exit codes:
 0 success, 2 validation error, 3 I/O error, 4 oracle-check failure.
 """
 
@@ -15,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,7 +252,13 @@ def run_ellipse(cfg: SweepConfig) -> dict:
     mu = params.fractions
     s1, s2 = params.sigma1_sq, params.sigma2_sq
     exact = ellipse_from_form(scattered_form(mu, s1, s2))
-    approx = approx_final_ellipse(mu.mu1, math.sqrt(s1), math.sqrt(s2))
+    # The warnings module would print a source path, and only on the first
+    # call in a process; one plain line on every call keeps stderr fixed.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        approx = approx_final_ellipse(mu.mu1, math.sqrt(s1), math.sqrt(s2))
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     initial = ellipse_from_form(QuadraticForm2(np.diag([1.0 / s1, 1.0 / s2])))
     return {
         "mu1": mu.mu1,

@@ -25,6 +25,9 @@ def run_csv_rows(path):
 
 
 GOLDEN_CASES = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())
+NARROW_WARNING = (
+    "warning: width ratio 1.5 is below 10; the wide-packet approximation degrades\n"
+)
 
 
 class TestParser:
@@ -192,18 +195,25 @@ class TestEllipse:
         record = json.loads(out.read_text())
         assert record["final_area"] == pytest.approx(record["initial_area"], rel=1e-9)
 
-    def test_narrow_width_ratio(self, tmp_path):
+    def test_narrow_width_ratio(self, tmp_path, capsys):
         # The wide-packet approximation swaps its axes here; the exact
         # ellipse is unaffected.
         out = tmp_path / "ellipse.json"
-        with pytest.warns(UserWarning, match="below 10"):
-            code = main(["ellipse", "--ratio", "1.5", "--format", "json", "--out", str(out)])
+        code = main(["ellipse", "--ratio", "1.5", "--format", "json", "--out", str(out)])
         assert code == 0
+        assert capsys.readouterr().err == NARROW_WARNING
         record = json.loads(out.read_text())
         approx_area = math.pi * record["approx_semi_major"] * record["approx_semi_minor"]
         assert approx_area == pytest.approx(math.pi * 1.5, rel=1e-14)
         assert record["approx_semi_major"] >= record["approx_semi_minor"]
         assert record["final_area"] == pytest.approx(record["initial_area"], rel=1e-9)
+
+    def test_warning_is_the_same_line_on_every_call(self, capsys):
+        errors = []
+        for _ in range(2):
+            assert main(["ellipse", "--ratio", "1.5", "--points", "4"]) == 0
+            errors.append(capsys.readouterr().err)
+        assert errors == [NARROW_WARNING, NARROW_WARNING]
 
     def test_heavy_wide_packet_angle(self, tmp_path):
         out = tmp_path / "ellipse.json"
