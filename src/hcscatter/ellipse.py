@@ -140,15 +140,13 @@ def ellipse_from_form(form: QuadraticForm2) -> EllipseShape:
     if lam_high - lam_low <= _DEGENERATE_REL_TOL * lam_high:
         radius = 1.0 / math.sqrt(half_trace)
         return EllipseShape(radius, radius, 0.0)
-    if b == 0.0:
-        angle = 0.0 if a < c else 0.5 * math.pi
-    else:
-        # (b, lam - a) is an eigenvector of [[a, b], [b, c]] for eigenvalue lam.
-        angle = math.atan2(lam_low - a, b)
-        if angle < 0.0:
-            angle += math.pi
-        if angle >= math.pi:
-            angle -= math.pi
+    # The long axis lies at half the angle of the vector (c - a, -2b).
+    # Unlike an eigenvector built from lam_low - a, this keeps its relative
+    # accuracy when b is tiny.  A tilt just below 0 can round onto pi in
+    # the reduction; that is reported as 0.
+    angle = 0.5 * math.atan2(-2.0 * b, c - a) % math.pi
+    if angle == math.pi:
+        angle = 0.0
     return EllipseShape(1.0 / math.sqrt(lam_low), 1.0 / math.sqrt(lam_high), angle)
 
 

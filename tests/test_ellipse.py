@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +14,16 @@ from hcscatter.ellipse import (
     stretch_polynomial,
 )
 from oracles import mixing_matrix, scattered_form_from_factors
+
+
+def tilt_oracle(entries):
+    """Long-axis angle in [0, pi) of x^T M x = 1 from a 50-digit
+    eigendecomposition of the float entries of M."""
+    with mpmath.workdps(50):
+        values, vectors = mpmath.eigsy(mpmath.matrix(entries.tolist()))
+        low = 0 if values[0] <= values[1] else 1
+        angle = mpmath.atan2(vectors[1, low], vectors[0, low])
+        return float(angle % mpmath.pi)
 
 
 def draw_parameters(rng):
@@ -117,6 +128,26 @@ class TestEllipseFromForm:
         assert shape.semi_major == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-14)
         assert shape.semi_minor == pytest.approx(1.0 / math.sqrt(8.0), rel=1e-14)
         assert shape.angle_rad == pytest.approx(0.25 * math.pi, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "mu1, s1, s2",
+        [
+            (0.3, 7.0, 3.0000001),
+            (0.01, 99.0 * (1.0 - 1e-9), 1.0),
+            (0.01, 99.0 * (1.0 + 1e-9), 1.0),
+            (0.25, 3.0 * (1.0 + 1e-12), 1.0),
+        ],
+    )
+    def test_tilt_near_the_balance_locus(self, mu1, s1, s2):
+        # Close to mu1 s1 = mu2 s2 the cross entry is tiny and the long axis
+        # sits just above or just below the x1 axis (angle near 0 or pi).
+        # The tilt must keep its relative accuracy there.
+        entries = scattered_form(MassFractions(mu1), s1, s2).entries
+        want = tilt_oracle(entries)
+        tilt = abs(math.remainder(want, math.pi))
+        assert 0.0 < tilt < 1e-7
+        got = ellipse_from_form(QuadraticForm2(entries)).angle_rad
+        assert abs(math.remainder(got - want, math.pi)) <= max(1e-12 * tilt, 2e-15)
 
     def test_boundary_points_lie_on_contour(self):
         rng = np.random.default_rng(53)
