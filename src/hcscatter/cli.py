@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import MassFractions, d_closed_form, entropy_from_d, purity_from_d
+from .covariance import MassFractions, d_minus_half, entropy_from_d_minus_half, purity_from_d
 from .ellipse import (
     QuadraticForm2,
     approx_final_ellipse,
@@ -192,8 +192,9 @@ def _resolve(mode: str, supplied: dict) -> SweepConfig:
 
 def _entanglement(mu: MassFractions, sigma1_sq: float, sigma2_sq: float):
     """Closed-form d with its entropy (bits) and purity."""
-    d = d_closed_form(mu, sigma1_sq, sigma2_sq)
-    return d, entropy_from_d(d), purity_from_d(d)
+    e = d_minus_half(mu, sigma1_sq, sigma2_sq)
+    d = 0.5 + e
+    return d, entropy_from_d_minus_half(e), purity_from_d(d)
 
 
 def run_single(cfg: SweepConfig) -> dict:

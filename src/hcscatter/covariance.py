@@ -11,7 +11,8 @@ itself is the derivation and is rebuilt in the test suite as an oracle.
 The entanglement of the pure two-mode output is graded by the scalar
 d = sqrt(det A), where A is the reduced 2x2 covariance block of one mode:
 d = 1/2 marks a pure (unentangled) reduced state, larger d means more
-entanglement.
+entanglement.  The library computes d - 1/2 itself (``d_minus_half``) and
+grades the entropy by it, so both zero-entanglement loci give exactly 0.
 
 All functions here are pure and hold no state; they are safe to call
 concurrently.
@@ -27,13 +28,10 @@ import numpy as np
 __all__ = [
     "MassFractions",
     "closed_form_blocks",
-    "d_closed_form",
-    "entropy_from_d",
+    "d_minus_half",
+    "entropy_from_d_minus_half",
     "purity_from_d",
 ]
-
-# Largest tolerated roundoff deficit of det(A) below the physical floor 1/4.
-_DET_DEFICIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -109,53 +107,38 @@ def closed_form_blocks(
     return block_a, block_b, block_c
 
 
-def d_closed_form(mu: MassFractions, sigma1_sq: float, sigma2_sq: float) -> float:
-    """Asymptotic entanglement scalar d in closed form.
+def d_minus_half(mu: MassFractions, sigma1_sq: float, sigma2_sq: float) -> float:
+    """Distance d - 1/2 of the entanglement scalar from its floor.
 
-    d^2 = 4 mu1^2 mu2^2
-          + dm^2 * (dm^2 / 4 + mu1^2 s1/s2 + mu2^2 s2/s1),   dm = mu1 - mu2.
-
-    Depends on the widths only through their ratio; equals 1/2 exactly for
-    equal masses and for mu1 s1 = mu2 s2.
+    With the coupling x = dm (mu1 s1 - mu2 s2) / sqrt(s1 s2), dm = mu1 - mu2,
+    the blocks give d^2 - 1/4 = x^2, so d - 1/2 = x^2 / (d + 1/2) with no
+    subtraction of nearby numbers.  Depends on the widths only through
+    their ratio; exactly 0 for equal masses and for mu1 s1 = mu2 s2.
     """
     if sigma1_sq <= 0.0 or sigma2_sq <= 0.0:
         raise ValueError("widths must be positive")
-    mu1, mu2, dm = mu.mu1, mu.mu2, mu.delta
-    ratio = sigma1_sq / sigma2_sq
-    dsq = 4.0 * mu1**2 * mu2**2 + dm**2 * (
-        dm**2 / 4.0 + mu1**2 * ratio + mu2**2 / ratio
+    x = mu.delta * (mu.mu1 * sigma1_sq - mu.mu2 * sigma2_sq) / (
+        math.sqrt(sigma1_sq) * math.sqrt(sigma2_sq)
     )
-    # d = 1/2 is an exact physical floor reached at exact parameter
-    # relations; tiny float deficits below d^2 = 1/4 are clamped, anything
-    # beyond the tolerance is a genuinely unphysical state.
-    deficit = 0.25 - dsq
-    if deficit > _DET_DEFICIT_TOL:
-        raise ValueError(
-            f"block determinant {dsq} is below the physical floor 1/4; "
-            "the state is not a valid reduced one-mode Gaussian"
-        )
-    if deficit > 0.0:
-        return 0.5
-    return math.sqrt(dsq)
+    # x * (x / ...) rather than x**2 / ..., which overflows for large x.
+    return x * (x / (math.hypot(0.5, x) + 0.5))
 
 
-def _xlog2x(x: float) -> float:
-    # 0 log 0 = 0 by the usual limit convention.
-    if x <= 0.0:
-        return 0.0
-    return x * math.log2(x)
+def entropy_from_d_minus_half(e: float) -> float:
+    """Von Neumann entropy in bits of a one-mode Gaussian with d = 1/2 + e.
 
-
-def entropy_from_d(d: float) -> float:
-    """Von Neumann entropy in bits of a one-mode Gaussian with scalar d.
-
-    S = (d + 1/2) log2(d + 1/2) - (d - 1/2) log2(d - 1/2), with the
-    0 log 0 convention so that S(1/2) = 0 exactly.  Strictly increasing
-    in d.
+    S = (d + 1/2) log2(d + 1/2) - (d - 1/2) log2(d - 1/2) is evaluated as
+    (log(1 + e) + e log(1 + 1/e)) / ln 2, exactly 0 at e = 0 and strictly
+    increasing in e.
     """
-    if d < 0.5:
-        raise ValueError(f"d must be at least 1/2, got {d}")
-    return _xlog2x(d + 0.5) - _xlog2x(d - 0.5)
+    if not e >= 0.0:
+        raise ValueError(f"d - 1/2 must be non-negative, got {e}")
+    if e == 0.0:
+        return 0.0
+    # Below e = 1, e log(1 + 1/e) is summed from two positive logs: 1/e
+    # overflows when e is subnormal.
+    tail = e * math.log1p(1.0 / e) if e >= 1.0 else e * (math.log1p(e) - math.log(e))
+    return (math.log1p(e) + tail) / math.log(2.0)
 
 
 def purity_from_d(d: float) -> float:

@@ -16,8 +16,8 @@ from hcscatter.cli import SweepConfig, run_sweep_mu
 from hcscatter.covariance import (
     MassFractions,
     closed_form_blocks,
-    d_closed_form,
-    entropy_from_d,
+    d_minus_half,
+    entropy_from_d_minus_half,
     purity_from_d,
 )
 from hcscatter.ellipse import (
@@ -78,15 +78,15 @@ def test_criterion_1_zero_entanglement_conditions():
     with criterion(1, "zero-entanglement conditions", 1.0):
         # Exact equal masses, widths arbitrary.
         for s1, s2 in [(1.0, 1.0), (7.0, 3.0), (100.0, 1.0)]:
-            d = d_closed_form(MassFractions(0.5), s1, s2)
-            assert abs(d - 0.5) <= 1e-12
-            assert entropy_from_d(d) <= 1e-12
+            e = d_minus_half(MassFractions(0.5), s1, s2)
+            assert e == 0.0
+            assert entropy_from_d_minus_half(e) == 0.0
         # Exact width/mass balance: sigma2^2 constructed as mu1 s1 / mu2.
         for mu1, s1 in [(0.3, 2.0), (0.25, 3.0), (0.8, 11.0)]:
             mu = MassFractions(mu1)
-            d = d_closed_form(mu, s1, mu.mu1 * s1 / mu.mu2)
-            assert abs(d - 0.5) <= 1e-12
-            assert entropy_from_d(d) <= 1e-12
+            e = d_minus_half(mu, s1, mu.mu1 * s1 / mu.mu2)
+            assert e == 0.0
+            assert entropy_from_d_minus_half(e) == 0.0
 
 
 def test_criterion_2_mu_sweep_reproduction():
@@ -128,7 +128,7 @@ def test_criterion_3_oracle_equivalence():
             mu1 = float(rng.uniform(0.1, 0.9))
             ratio = float(rng.uniform(1.0, 20.0))
             params = ScatterParams(mu1, 1.0 - mu1, ratio**2, 1.0, core_radius=0.5)
-            analytic = entropy_from_d(d_closed_form(params.fractions, ratio**2, 1.0))
+            analytic = entropy_from_d_minus_half(d_minus_half(params.fractions, ratio**2, 1.0))
             sampled = schmidt_entropy(reflected_state(params, grid_n=512))
             assert abs(sampled - analytic) <= 1e-3
 
@@ -192,7 +192,7 @@ def test_criterion_7_transient_entanglement():
 
         # Asymmetric run: the late-time entropy settles on the closed form.
         skewed = ScatterParams(1.0, 3.0, 16.0, 1.0, momentum=4.0, core_radius=0.5)
-        target = entropy_from_d(d_closed_form(skewed.fractions, 16.0, 1.0))
+        target = entropy_from_d_minus_half(d_minus_half(skewed.fractions, 16.0, 1.0))
         entropies = transient_curve(skewed, np.linspace(0.0, 9.0, 13), grid_n=512)
         assert abs(entropies[-1] - target) <= 2e-2
 
@@ -211,10 +211,11 @@ def test_criterion_8_structural_invariants():
             moved = scattered_covariance(mu, s1, s2, radius)
             assert uncertainty_floor(moved) >= -1e-10
 
-            d = d_closed_form(mu, s1, s2)
-            assert d >= 0.5
+            e = d_minus_half(mu, s1, s2)
+            assert e >= 0.0
+            d = 0.5 + e
             assert abs(purity_from_d(d) * 2.0 * d - 1.0) <= 1e-12
 
-        grid = np.linspace(0.5, 50.0, 1000)
-        values = [entropy_from_d(d) for d in grid]
+        grid = np.linspace(0.0, 49.5, 1000)
+        values = [entropy_from_d_minus_half(e) for e in grid]
         assert all(b > a for a, b in zip(values, values[1:]))

@@ -161,12 +161,12 @@ class TestSweepMu:
         out = tmp_path / "sweep.json"
         main(["sweep-mu", "--points", "11", "--format", "json", "--out", str(out)])
         record = json.loads(out.read_text())
-        from hcscatter.covariance import MassFractions, d_closed_form
+        from hcscatter.covariance import MassFractions, d_minus_half
 
         for row in record["rows"]:
             mu = MassFractions(row["mu1"])
-            assert row["d_exact"] == d_closed_form(mu, record["meta"]["sigma1_sq"],
-                                                   record["meta"]["sigma2_sq"])
+            assert row["d_exact"] == 0.5 + d_minus_half(mu, record["meta"]["sigma1_sq"],
+                                                        record["meta"]["sigma2_sq"])
 
 
 class TestEllipse:

@@ -3,14 +3,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hcscatter.covariance import (
     MassFractions,
     closed_form_blocks,
-    d_closed_form,
-    entropy_from_d,
+    d_minus_half,
+    entropy_from_d_minus_half,
     purity_from_d,
 )
 from oracles import (
@@ -48,6 +48,24 @@ def entropy_oracle(d, dps=60):
         if down > 0:
             value -= down * mpmath.log(down, 2)
         return float(value)
+
+
+def closed_form_oracle(mu, s1, s2):
+    """(d - 1/2, entropy in bits) of the same float mu1, s1, s2 from the
+    d^2 expansion of det A, good to 60 significant digits.
+
+    The expansion needs mu1 + mu2 = 1 exactly, so mu2 is taken as 1 - mu1
+    here, not as its rounded float.  The expansion and the entropy formula
+    each cancel up to ~310 digits (d - 1/2 down to 1e-310, d up to
+    1e154), so the working precision carries that many more.
+    """
+    with mpmath.workdps(400):
+        mu1, s1, s2 = (mpmath.mpf(v) for v in (mu.mu1, s1, s2))
+        mu2 = 1 - mu1
+        dm = mu1 - mu2
+        dsq = 4 * mu1**2 * mu2**2 + dm**2 * (dm**2 / 4 + mu1**2 * s1 / s2 + mu2**2 * s2 / s1)
+        d = mpmath.sqrt(dsq)
+        return float(d - mpmath.mpf(1) / 2), entropy_oracle(d, dps=400)
 
 
 class TestMassFractions:
@@ -107,6 +125,8 @@ class TestInitialCovariance:
         # The closed form is the library's route from the initial widths.
         with pytest.raises(ValueError, match="positive"):
             closed_form_blocks(MassFractions(0.3), *widths)
+        with pytest.raises(ValueError, match="positive"):
+            d_minus_half(MassFractions(0.3), *widths)
 
     def test_minimal_uncertainty_saturated(self):
         # Product of minimal-uncertainty packets: sigma + iJ/2 has a zero mode.
@@ -270,36 +290,26 @@ class TestDFromBlock:
             mu, s1, s2 = draw_parameters(rng)
             block_a, _, _ = closed_form_blocks(mu, s1, s2)
             assert d_from_block(block_a) == pytest.approx(
-                d_closed_form(mu, s1, s2), abs=1e-10
+                0.5 + d_minus_half(mu, s1, s2), abs=1e-10
             )
-
-    def test_clamps_tiny_roundoff_deficit(self):
-        # On the width/mass balance locus d^2 rounds to just below 1/4;
-        # the closed form clamps it to the floor.
-        mu = MassFractions(0.3)
-        s2 = mu.mu1 * 2.0 / mu.mu2
-        dsq = 4.0 * mu.mu1**2 * mu.mu2**2 + mu.delta**2 * (
-            mu.delta**2 / 4.0 + mu.mu1**2 * 2.0 / s2 + mu.mu2**2 * s2 / 2.0
-        )
-        assert dsq < 0.25
-        assert d_closed_form(mu, 2.0, s2) == 0.5
 
 
 class TestDClosedForm:
     def test_reference_value(self):
-        d = d_closed_form(MassFractions(0.25), 100.0, 1.0)
+        d = 0.5 + d_minus_half(MassFractions(0.25), 100.0, 1.0)
         assert d == pytest.approx(REF_D, abs=1e-15)
         assert d**2 == pytest.approx(REF_D_SQUARED, abs=1e-14)
 
     def test_equal_masses_any_widths(self):
         for s1, s2 in [(1.0, 1.0), (123.0, 0.04), (1e-2, 1e2)]:
-            assert d_closed_form(MassFractions(0.5), s1, s2) == 0.5
+            assert d_minus_half(MassFractions(0.5), s1, s2) == 0.0
 
     def test_width_mass_balance(self):
+        # Squaring d first would round d^2 to just below 1/4 here.
         mu = MassFractions(0.3)
         s1 = 2.0
         s2 = mu.mu1 * s1 / mu.mu2
-        assert d_closed_form(mu, s1, s2) == pytest.approx(0.5, abs=1e-12)
+        assert d_minus_half(mu, s1, s2) == 0.0
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -309,36 +319,39 @@ class TestDClosedForm:
     )
     def test_depends_on_widths_only_through_ratio(self, mu1, s1, scale):
         mu = MassFractions(mu1)
-        base = d_closed_form(mu, s1, 1.0)
-        scaled = d_closed_form(mu, scale * s1, scale * 1.0)
+        base = 0.5 + d_minus_half(mu, s1, 1.0)
+        scaled = 0.5 + d_minus_half(mu, scale * s1, scale * 1.0)
         assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_floor_over_random_draws(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             mu, s1, s2 = draw_parameters(rng)
-            assert d_closed_form(mu, s1, s2) >= 0.5
+            assert d_minus_half(mu, s1, s2) >= 0.0
 
 
 class TestEntropyAndPurity:
     def test_entropy_vanishes_at_floor(self):
-        assert entropy_from_d(0.5) == 0.0
+        assert entropy_from_d_minus_half(0.0) == 0.0
 
     def test_entropy_two_bits(self):
         # (3/2 + 1/2) log2 2 - (3/2 - 1/2) log2 1 = 2 exactly.
-        assert entropy_from_d(1.5) == 2.0
+        assert entropy_from_d_minus_half(1.0) == 2.0
 
     def test_entropy_reference_against_mpmath(self):
-        assert entropy_from_d(REF_D) == pytest.approx(entropy_oracle(REF_D), abs=1e-12)
+        assert entropy_from_d_minus_half(REF_D - 0.5) == pytest.approx(
+            entropy_oracle(REF_D), abs=1e-12
+        )
 
     def test_entropy_strictly_increasing(self):
-        grid = np.linspace(0.5, 50.0, 1000)
-        values = [entropy_from_d(d) for d in grid]
+        grid = np.linspace(0.0, 49.5, 1000)
+        values = [entropy_from_d_minus_half(e) for e in grid]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_entropy_rejects_small_d(self):
-        with pytest.raises(ValueError, match="at least 1/2"):
-            entropy_from_d(0.499)
+        for bad in (-0.001, math.nan):
+            with pytest.raises(ValueError, match="non-negative"):
+                entropy_from_d_minus_half(bad)
 
     def test_purity_endpoints(self):
         assert purity_from_d(0.5) == 1.0
@@ -356,12 +369,85 @@ class TestEntropyAndPurity:
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=0.5, max_value=1e6))
     def test_result_invariants(self, d):
-        entropy, purity = entropy_from_d(d), purity_from_d(d)
+        entropy, purity = entropy_from_d_minus_half(d - 0.5), purity_from_d(d)
         assert abs(purity * 2.0 * d - 1.0) <= 1e-12
         assert 0.0 < purity <= 1.0
         assert entropy >= 0.0
         # The entropy vanishes exactly at the floor and nowhere else.
         assert (entropy == 0.0) == (d == 0.5)
+
+
+def balance_distance(mu, s1, s2):
+    """Relative distance of the widths from the locus mu1 s1 = mu2 s2."""
+    lhs, rhs = mu.mu1 * s1, mu.mu2 * s2
+    return abs(lhs - rhs) / max(lhs, rhs)
+
+
+def assert_matches_oracle(mu, s1, s2, rel):
+    # Relative errors only: pytest.approx would also accept anything
+    # within 1e-12 absolute, which every entropy near a locus is.
+    e = d_minus_half(mu, s1, s2)
+    want_e, want_entropy = closed_form_oracle(mu, s1, s2)
+    assert want_e > 0.0
+    assert abs(e - want_e) <= rel * want_e
+    assert abs(entropy_from_d_minus_half(e) - want_entropy) <= rel * want_entropy
+    assert abs(e - want_e) <= 1e-15 * (0.5 + want_e)
+
+
+class TestClosedFormAccuracy:
+    """d - 1/2 and the entropy against the 60-digit oracle of the same
+    float inputs, far from and close to both zero-entanglement loci."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.floats(min_value=1e-3, max_value=1.0 - 1e-3),
+        st.floats(min_value=-154.0, max_value=154.0),
+        st.floats(min_value=-154.0, max_value=154.0),
+    )
+    def test_away_from_the_loci(self, mu1, log_s1, log_s2):
+        # Width ratios sigma1/sigma2 up to 1e154 either way.
+        mu, s1, s2 = MassFractions(mu1), 10.0**log_s1, 10.0**log_s2
+        assume(abs(mu.delta) >= 2e-3 and balance_distance(mu, s1, s2) >= 1e-3)
+        assert_matches_oracle(mu, s1, s2, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["balance", "equal-mass"]),
+        st.floats(min_value=-9.0, max_value=-3.0),
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(min_value=0.01, max_value=0.99),
+        st.floats(min_value=-2.0, max_value=2.0),
+    )
+    def test_close_to_a_locus(self, locus, log_gap, side, mu1, log_s1):
+        gap, s1 = side * 10.0**log_gap, 10.0**log_s1
+        if locus == "balance":
+            mu = MassFractions(mu1)
+            s2 = mu.mu1 * s1 * (1.0 + gap) / mu.mu2
+            assume(abs(mu.delta) >= 2e-3)
+        else:
+            mu = MassFractions(0.5 + gap / 2.0)
+            s2 = s1 * mu1 / (1.0 - mu1)
+            assume(balance_distance(mu, s1, s2) >= 1e-3)
+        assert_matches_oracle(mu, s1, s2, rel=1e-6)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=1023), st.integers(min_value=-60, max_value=60))
+    def test_exactly_zero_on_the_loci(self, j, k):
+        # Equal masses with any widths, and a dyadic mu1 with
+        # s1 = mu2 2^k, s2 = mu1 2^k, where mu1 s1 = mu2 s2 holds exactly.
+        mu = MassFractions(j / 1024.0)
+        s1, s2 = mu.mu2 * 2.0**k, mu.mu1 * 2.0**k
+        for fractions in (mu, MassFractions(0.5)):
+            e = d_minus_half(fractions, s1, s2)
+            assert e == 0.0
+            assert entropy_from_d_minus_half(e) == 0.0
+
+    def test_entropy_of_a_subnormal_distance(self):
+        # Reachable from the CLI: mu1 = 1e-300 with sigma1_sq = 1e300 and
+        # sigma2_sq = 1.00001 gives d - 1/2 of about 1e-310.
+        mu = MassFractions.from_masses(1e-300, 1.0)
+        assert 0.0 < d_minus_half(mu, 1e300, 1.00001) < 2.2e-308
+        assert_matches_oracle(mu, 1e300, 1.00001, rel=1e-6)
 
 
 class TestStructuralInvariants:

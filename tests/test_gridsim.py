@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hcscatter.covariance import MassFractions, d_closed_form, entropy_from_d
+from hcscatter.covariance import MassFractions, d_minus_half, entropy_from_d_minus_half
 from hcscatter.gridsim import (
     CoverageError,
     GridSpec,
@@ -218,7 +218,7 @@ class TestCollisionState:
 
     def test_late_time_reaches_asymptote(self):
         params = ScatterParams(1.0, 3.0, 16.0, 1.0, momentum=4.0, core_radius=0.5)
-        target = entropy_from_d(d_closed_form(params.fractions, 16.0, 1.0))
+        target = entropy_from_d_minus_half(d_minus_half(params.fractions, 16.0, 1.0))
         late = schmidt_entropy(collision_state(params, 9.0, grid_n=256))
         assert abs(late - target) <= 2e-2
 

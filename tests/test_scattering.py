@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hcscatter.covariance import MassFractions, d_closed_form, entropy_from_d, purity_from_d
+from hcscatter.covariance import (
+    MassFractions,
+    d_minus_half,
+    entropy_from_d_minus_half,
+    purity_from_d,
+)
 from hcscatter.scattering import (
     ScatterParams,
     ZeroEntanglementClass,
@@ -18,8 +23,9 @@ REF_ENTROPY_BITS = 1.797380017291221
 
 def asymptotic_entanglement(params):
     """(d, entropy in bits, purity) of the outgoing state of a scenario."""
-    d = d_closed_form(params.fractions, params.sigma1_sq, params.sigma2_sq)
-    return d, entropy_from_d(d), purity_from_d(d)
+    e = d_minus_half(params.fractions, params.sigma1_sq, params.sigma2_sq)
+    d = 0.5 + e
+    return d, entropy_from_d_minus_half(e), purity_from_d(d)
 
 
 class TestScatterParams:
@@ -177,6 +183,6 @@ class TestDAsymptotic:
         for mu1 in np.linspace(0.01, 0.99, 99):
             if abs(2.0 * mu1 - 1.0) * mu1 < 0.1:
                 continue
-            exact = d_closed_form(MassFractions(mu1), 100.0, 1.0)
+            exact = 0.5 + d_minus_half(MassFractions(mu1), 100.0, 1.0)
             approx = d_asymptotic(mu1, 10.0)
             assert abs(approx - exact) / exact <= 0.15
