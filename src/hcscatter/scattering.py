@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .covariance import MassFractions
@@ -25,6 +26,9 @@ __all__ = [
 
 # Half-width of each zero-entanglement locus in is_zero_entanglement.
 _LOCUS_TOL = 1e-9
+
+# momentum ** 2, the rate of the packets' free phase, overflows above ~1.34e154.
+_MAX_MOMENTUM = 1e154
 
 
 class ZeroEntanglementClass(enum.Enum):
@@ -44,7 +48,8 @@ class ScatterParams:
     then hold the fractions, which are also kept as ``fractions`` (only
     the fractions matter for the entanglement).  Times fed to the grid
     simulator are therefore measured in the matching unit.  Every number
-    must be finite.
+    must be finite, the widths and their ratio normal floats, and the
+    momentum at most 1e154.
 
     ``q1``/``q2`` default to ``8 * max(sigma1, sigma2) + core_radius`` so
     that the initial packets overlap neither each other nor the core.
@@ -71,11 +76,21 @@ class ScatterParams:
                 f"widths must be positive, got sigma1_sq={self.sigma1_sq}, "
                 f"sigma2_sq={self.sigma2_sq}"
             )
+        # Subnormal widths, or a ratio that under- or overflows, have lost
+        # their digits before the closed form sees them.
+        ratio = self.sigma1_sq / self.sigma2_sq
+        if min(self.sigma1_sq, self.sigma2_sq, ratio) < sys.float_info.min or math.isinf(ratio):
+            raise ValueError(
+                f"width ratio out of range: sigma1_sq, sigma2_sq and their ratio must be "
+                f"normal floats, got sigma1_sq={self.sigma1_sq}, sigma2_sq={self.sigma2_sq}"
+            )
         if self.momentum <= 0.0:
             raise ValueError(
                 f"momentum must be positive so the packets approach each other, "
                 f"got {self.momentum}"
             )
+        if self.momentum > _MAX_MOMENTUM:
+            raise ValueError(f"momentum must be at most {_MAX_MOMENTUM:g}, got {self.momentum}")
         if self.core_radius < 0.0:
             raise ValueError(f"core radius must be non-negative, got {self.core_radius}")
         object.__setattr__(self, "fractions", mu)

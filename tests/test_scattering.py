@@ -59,11 +59,27 @@ class TestScatterParams:
             (dict(momentum=math.nan), "momentum must be finite"),
             (dict(core_radius=math.nan), "core_radius must be finite"),
             (dict(q1=math.inf), "q1 must be finite"),
+            (dict(momentum=1.1e154), "momentum must be at most 1e\\+154"),
         ],
     )
     def test_rejects_invalid(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             ScatterParams(1.0, 1.0, 1.0, 1.0, **kwargs)
+
+    @pytest.mark.parametrize(
+        "widths",
+        [(1e-320, 1.0), (1.0, 1e-310), (1e300, 1e-300), (1e-300, 1e300)],
+    )
+    def test_rejects_widths_that_are_not_normal_floats(self, widths):
+        # A subnormal width, or a ratio that overflows or underflows.
+        with pytest.raises(ValueError, match="width ratio out of range"):
+            ScatterParams(1.0, 2.0, *widths)
+
+    def test_accepts_the_extreme_normal_widths(self):
+        tiny, huge = 2.0**-1022, 2.0**1023
+        assert ScatterParams(1.0, 2.0, tiny, 1.0).width_ratio == 2.0**-511
+        assert ScatterParams(1.0, 2.0, huge, 1.0, q1=1.0, q2=1.0).sigma1_sq == huge
+        assert ScatterParams(1.0, 2.0, 1.0, 1.0, momentum=1e154).momentum == 1e154
 
     def test_rejects_nonpositive_widths(self):
         with pytest.raises(ValueError, match="widths must be positive"):
