@@ -128,9 +128,19 @@ def test_criterion_3_oracle_equivalence():
             mu1 = float(rng.uniform(0.1, 0.9))
             ratio = float(rng.uniform(1.0, 20.0))
             params = ScatterParams(mu1, 1.0 - mu1, ratio**2, 1.0, core_radius=0.5)
-            analytic = entropy_from_d_minus_half(d_minus_half(params.fractions, ratio**2, 1.0))
-            sampled = schmidt_entropy(reflected_state(params, grid_n=512))
-            assert abs(sampled - analytic) <= 1e-3
+            e = d_minus_half(params.fractions, ratio**2, 1.0)
+            wave = reflected_state(params, grid_n=512)
+            assert abs(schmidt_entropy(wave) - entropy_from_d_minus_half(e)) <= 1e-3
+
+            # The whole spectrum: a two-mode Gaussian pure state has the
+            # geometric Schmidt weights (1 - xi) xi^k, xi = e / (1 + e),
+            # and Schmidt number 1 / sum(lambda^2) = 2 d = 1 + 2 e.
+            weights = np.linalg.svd(wave.amplitudes, compute_uv=False) ** 2
+            weights /= weights.sum()
+            xi = e / (1.0 + e)
+            geometric = (1.0 - xi) * xi ** np.arange(weights.size)
+            assert np.max(np.abs(weights - geometric)) <= 1e-8
+            assert abs(1.0 / np.sum(weights**2) / (1.0 + 2.0 * e) - 1.0) <= 1e-7
 
 
 def test_criterion_4_block_equivalence():
