@@ -424,6 +424,7 @@ class TestClosedFormAccuracy:
             s2 = mu.mu1 * s1 * (1.0 + gap) / mu.mu2
             assume(abs(mu.delta) >= 2e-3)
         else:
+            # mu1 - mu2 = gap; the drawn mu1 only sets the width ratio.
             mu = MassFractions(0.5 + gap / 2.0)
             s2 = s1 * mu1 / (1.0 - mu1)
             assume(balance_distance(mu, s1, s2) >= 1e-3)
