@@ -78,7 +78,7 @@ class TestScatterParams:
     def test_accepts_the_extreme_normal_widths(self):
         tiny, huge = 2.0**-1022, 2.0**1023
         assert ScatterParams(1.0, 2.0, tiny, 1.0).width_ratio == 2.0**-511
-        assert ScatterParams(1.0, 2.0, huge, 1.0, q1=1.0, q2=1.0).sigma1_sq == huge
+        assert ScatterParams(1.0, 2.0, huge, 1.0).sigma1_sq == huge
         assert ScatterParams(1.0, 2.0, 1.0, 1.0, momentum=1e154).momentum == 1e154
 
     def test_rejects_nonpositive_widths(self):
