@@ -22,12 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import MassFractions, d_minus_half, entropy_from_d_minus_half, purity_from_d
-from .ellipse import (
-    QuadraticForm2,
-    approx_final_ellipse,
-    ellipse_from_form,
-    scattered_form,
-)
+from .ellipse import EllipseShape, approx_final_ellipse, scattered_ellipse
 from .gridsim import reflected_state, schmidt_entropy, transient_curve
 from .scattering import ScatterParams, d_asymptotic, is_zero_entanglement
 
@@ -252,7 +247,7 @@ def run_ellipse(cfg: SweepConfig) -> dict:
     params = cfg.params
     mu = params.fractions
     s1, s2 = params.sigma1_sq, params.sigma2_sq
-    exact = ellipse_from_form(scattered_form(mu, s1, s2))
+    exact = scattered_ellipse(mu, s1, s2)
     # The warnings module would print a source path, and only on the first
     # call in a process; one plain line on every call keeps stderr fixed.
     with warnings.catch_warnings(record=True) as caught:
@@ -260,7 +255,9 @@ def run_ellipse(cfg: SweepConfig) -> dict:
         approx = approx_final_ellipse(mu.mu1, math.sqrt(s1), math.sqrt(s2))
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
-    initial = ellipse_from_form(QuadraticForm2(np.diag([1.0 / s1, 1.0 / s2])))
+    # The incoming ellipse is axis-aligned with semi-axes sigma1, sigma2.
+    initial = EllipseShape(math.sqrt(max(s1, s2)), math.sqrt(min(s1, s2)),
+                           0.0 if s1 >= s2 else 0.5 * math.pi)
     return {
         "mu1": mu.mu1,
         "sigma1_sq": s1,

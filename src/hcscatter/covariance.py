@@ -5,8 +5,10 @@ throughout.  A hard-core collision acts on the canonical operators as an
 affine symplectic map (a reflection of the relative coordinate), so the
 asymptotic two-particle state, and with it the generated entanglement, is
 fixed by covariance-matrix algebra alone.  Pushing the initial covariance
-through that map gives the closed-form blocks below; the matrix pipeline
-itself is the derivation and is rebuilt in the test suite as an oracle.
+through that map gives the outgoing covariance blocks in closed form.  That
+derivation, the matrix pipeline and the blocks it yields, is not library
+code: the test suite keeps it as the oracle the functions below are
+checked against.
 
 The entanglement of the pure two-mode output is graded by the scalar
 d = sqrt(det A), where A is the reduced 2x2 covariance block of one mode:
@@ -23,11 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "MassFractions",
-    "closed_form_blocks",
     "d_minus_half",
     "entropy_from_d_minus_half",
     "purity_from_d",
@@ -71,40 +70,6 @@ class MassFractions:
     def delta(self) -> float:
         """The asymmetry mu1 - mu2 that drives entanglement generation."""
         return self.mu1 - self.mu2
-
-
-def closed_form_blocks(
-    mu: MassFractions, sigma1_sq: float, sigma2_sq: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Post-collision covariance blocks (A, B, C) written out in closed form.
-
-    The full covariance matrix is [[A, C], [C^T, B]]; A and B are the
-    reduced one-mode blocks.  All three come back as read-only 2x2 arrays
-    and all three are diagonal.  With dm = mu1 - mu2:
-
-    * A = diag(2 mu2^2 s2 + dm^2 s1 / 2,  2 mu1^2 / s2 + dm^2 / (2 s1))
-    * B = diag(2 mu1^2 s1 + dm^2 s2 / 2,  2 mu2^2 / s1 + dm^2 / (2 s2))
-    * C = diag(dm (mu1 s1 - mu2 s2),      dm (mu2 / s1 - mu1 / s2))
-
-    The test suite checks them against the initial covariance
-    diag(s1/2, 1/(2 s1), s2/2, 1/(2 s2)) pushed through the collision map.
-    """
-    if sigma1_sq <= 0.0 or sigma2_sq <= 0.0:
-        raise ValueError("widths must be positive")
-    mu1, mu2, dm = mu.mu1, mu.mu2, mu.delta
-    s1, s2 = sigma1_sq, sigma2_sq
-    block_a = np.diag(
-        [2.0 * mu2**2 * s2 + dm**2 * s1 / 2.0, 2.0 * mu1**2 / s2 + dm**2 / (2.0 * s1)]
-    )
-    block_b = np.diag(
-        [2.0 * mu1**2 * s1 + dm**2 * s2 / 2.0, 2.0 * mu2**2 / s1 + dm**2 / (2.0 * s2)]
-    )
-    block_c = np.diag(
-        [dm * (mu1 * s1 - mu2 * s2), dm * (mu2 / s1 - mu1 / s2)]
-    )
-    for block in (block_a, block_b, block_c):
-        block.setflags(write=False)
-    return block_a, block_b, block_c
 
 
 def d_minus_half(mu: MassFractions, sigma1_sq: float, sigma2_sq: float) -> float:

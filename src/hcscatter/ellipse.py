@@ -5,9 +5,12 @@ Dropping displacements and phases, the outgoing two-particle Gaussian is
 constant-amplitude contour ``x^T M x = 1`` is an ellipse in the
 (x1, x2) plane.  The incoming product state gives an axis-aligned ellipse
 with semi-axes sigma1, sigma2; the collision maps it to a tilted one of
-equal area.  The tilt angle and the stretch of the axes encode how much
-entanglement was generated, and in the wide-packet limit
-(sigma1 >> sigma2) both reduce to simple expressions in mu1 alone.
+equal area: det M = 1 / (sigma1^2 sigma2^2) for every mass ratio, and
+``scattered_ellipse`` takes its long axis from that determinant instead of
+from the small eigenvalue, which cancels.  The tilt angle and the stretch
+of the axes encode how much entanglement was generated, and in the
+wide-packet limit (sigma1 >> sigma2) both reduce to simple expressions in
+mu1 alone.
 """
 
 from __future__ import annotations
@@ -21,34 +24,14 @@ import numpy as np
 from .covariance import MassFractions
 
 __all__ = [
-    "QuadraticForm2",
     "EllipseShape",
     "scattered_form",
-    "ellipse_from_form",
+    "scattered_ellipse",
     "stretch_polynomial",
     "approx_final_ellipse",
 ]
 
-_SYMMETRY_TOL = 1e-12
 _DEGENERATE_REL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class QuadraticForm2:
-    """A symmetric positive-definite 2x2 quadratic form."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=float)
-        if entries.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {entries.shape}")
-        if np.max(np.abs(entries - entries.T)) > _SYMMETRY_TOL:
-            raise ValueError("quadratic form must be symmetric")
-        if entries[0, 0] <= 0.0 or np.linalg.det(entries) <= 0.0:
-            raise ValueError("quadratic form must be positive definite")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
 
 
 @dataclass(frozen=True)
@@ -90,10 +73,9 @@ class EllipseShape:
         )
 
 
-def scattered_form(
-    mu: MassFractions, sigma1_sq: float, sigma2_sq: float
-) -> QuadraticForm2:
-    """Quadratic form M of the outgoing Gaussian, entry by entry.
+def scattered_form(mu: MassFractions, sigma1_sq: float, sigma2_sq: float) -> np.ndarray:
+    """Quadratic form M of the outgoing Gaussian, entry by entry, as a
+    read-only 2x2 array.
 
     With dm = mu1 - mu2:
 
@@ -115,30 +97,34 @@ def scattered_form(
     m11 = dm**2 / s1 + 4.0 * mu.mu1**2 / s2
     m22 = 4.0 * mu.mu2**2 / s1 + dm**2 / s2
     m12 = 2.0 * dm * (mu.mu2 / s1 - mu.mu1 / s2)
-    return QuadraticForm2(np.array([[m11, m12], [m12, m22]]))
+    form = np.array([[m11, m12], [m12, m22]])
+    form.setflags(write=False)
+    return form
 
 
-def ellipse_from_form(form: QuadraticForm2) -> EllipseShape:
-    """Ellipse x^T M x = 1 of a positive-definite form.
+def scattered_ellipse(mu: MassFractions, sigma1_sq: float, sigma2_sq: float) -> EllipseShape:
+    """The outgoing ellipse x^T M x = 1 of ``scattered_form``.
 
-    Semi-axes are the inverse square roots of the eigenvalues (the small
-    eigenvalue carries the long axis); the tilt is the direction of the
-    eigenvector of the smaller eigenvalue.  The symmetric 2x2 eigenproblem
-    is solved in closed form via trace and determinant, so no iteration or
-    convergence tuning is involved.  For a circle (equal eigenvalues
-    within 1e-12 relative) any direction is valid and the angle is
-    defined as 0.
+    The short axis is 1 / sqrt(lam_high) for the large eigenvalue
+    lam_high = (a + c) / 2 + hypot((a - c) / 2, b) of M = [[a, b], [b, c]],
+    a sum of non-negative terms.  The small eigenvalue would cancel, so the
+    long axis comes from the known determinant det M = 1 / (s1 s2) instead:
+    it is sqrt(s1 s2 lam_high), formed as a product of square roots so that
+    it neither cancels nor overflows.  The tilt is that of the long axis;
+    for a circle (eigenvalues equal within 1e-12 relative) any direction is
+    valid, the angle is defined as 0 and the radius is (s1 s2)^(1/4).
     """
-    m = form.entries
+    # Axes scale with the widths.  Solving for widths scaled by an exact
+    # power of four to a product near 1 keeps every entry of M finite.
+    k = (math.frexp(sigma1_sq)[1] + math.frexp(sigma2_sq)[1]) // 4
+    s1, s2 = math.ldexp(sigma1_sq, -2 * k), math.ldexp(sigma2_sq, -2 * k)
+    m = scattered_form(mu, s1, s2)
     a, b, c = m[0, 0], m[0, 1], m[1, 1]
-    half_trace = 0.5 * (a + c)
     disc = math.hypot(0.5 * (a - c), b)
-    lam_low = half_trace - disc
-    lam_high = half_trace + disc
-    if lam_low <= 0.0:
-        raise ValueError("quadratic form must be positive definite")
-    if lam_high - lam_low <= _DEGENERATE_REL_TOL * lam_high:
-        radius = 1.0 / math.sqrt(half_trace)
+    lam_high = 0.5 * (a + c) + disc
+    root_det = math.sqrt(s1) * math.sqrt(s2)
+    if 2.0 * disc <= _DEGENERATE_REL_TOL * lam_high:
+        radius = math.ldexp(math.sqrt(root_det), k)
         return EllipseShape(radius, radius, 0.0)
     # The long axis lies at half the angle of the vector (c - a, -2b).
     # Unlike an eigenvector built from lam_low - a, this keeps its relative
@@ -147,7 +133,9 @@ def ellipse_from_form(form: QuadraticForm2) -> EllipseShape:
     angle = 0.5 * math.atan2(-2.0 * b, c - a) % math.pi
     if angle == math.pi:
         angle = 0.0
-    return EllipseShape(1.0 / math.sqrt(lam_low), 1.0 / math.sqrt(lam_high), angle)
+    root_high = math.sqrt(lam_high)
+    major, minor = math.ldexp(root_det * root_high, k), math.ldexp(1.0 / root_high, k)
+    return EllipseShape(major, minor, angle)
 
 
 def stretch_polynomial(x: float) -> float:

@@ -72,36 +72,35 @@ class CoverageError(ValueError):
 class GridSpec:
     """Uniform rectangular grid over the (x1, x2) plane.
 
-    Axes are endpoint-inclusive with spacing (max - min) / (n - 1); at
-    least 64 points per axis.
+    Both axes carry the same number n of points, at least 64; they are
+    endpoint-inclusive with spacing (max - min) / (n - 1).
     """
 
     x1_min: float
     x1_max: float
     x2_min: float
     x2_max: float
-    n1: int = 512
-    n2: int = 512
+    n: int = 512
 
     def __post_init__(self) -> None:
         if not (self.x1_max > self.x1_min and self.x2_max > self.x2_min):
             raise ValueError("grid extents must satisfy max > min on both axes")
-        if self.n1 < _MIN_POINTS or self.n2 < _MIN_POINTS:
+        if self.n < _MIN_POINTS:
             raise ValueError(f"need at least {_MIN_POINTS} points per axis")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         return (
-            np.linspace(self.x1_min, self.x1_max, self.n1),
-            np.linspace(self.x2_min, self.x2_max, self.n2),
+            np.linspace(self.x1_min, self.x1_max, self.n),
+            np.linspace(self.x2_min, self.x2_max, self.n),
         )
 
     @property
     def dx1(self) -> float:
-        return (self.x1_max - self.x1_min) / (self.n1 - 1)
+        return (self.x1_max - self.x1_min) / (self.n - 1)
 
     @property
     def dx2(self) -> float:
-        return (self.x2_max - self.x2_min) / (self.n2 - 1)
+        return (self.x2_max - self.x2_min) / (self.n - 1)
 
 
 @dataclass(frozen=True)
@@ -114,10 +113,10 @@ class WaveGrid:
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (self.grid.n1, self.grid.n2):
+        if amp.shape != (self.grid.n, self.grid.n):
             raise ValueError(
                 f"amplitudes shape {amp.shape} does not match grid "
-                f"({self.grid.n1}, {self.grid.n2})"
+                f"({self.grid.n}, {self.grid.n})"
             )
         if not np.isfinite(amp.view(float)).all():
             raise ValueError("amplitudes must be finite")
@@ -248,7 +247,7 @@ def auto_grid(
         raise ValueError(f"include must be 'free', 'reflected' or 'both', got {include!r}")
     lows = [min(c[i] - coverage * s[i] for c, s in boxes) for i in (0, 1)]
     highs = [max(c[i] + coverage * s[i] for c, s in boxes) for i in (0, 1)]
-    return GridSpec(lows[0], highs[0], lows[1], highs[1], n, n)
+    return GridSpec(lows[0], highs[0], lows[1], highs[1], n)
 
 
 def _check_norm(wave: WaveGrid, label: str) -> WaveGrid:
@@ -259,7 +258,7 @@ def _check_norm(wave: WaveGrid, label: str) -> WaveGrid:
             f"the grid does not cover the state "
             f"(x1 in [{wave.grid.x1_min:.3g}, {wave.grid.x1_max:.3g}], "
             f"x2 in [{wave.grid.x2_min:.3g}, {wave.grid.x2_max:.3g}], "
-            f"n1={wave.grid.n1}, n2={wave.grid.n2})",
+            f"n1={wave.grid.n}, n2={wave.grid.n})",
             norm=norm,
             grid=wave.grid,
         )

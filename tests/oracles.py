@@ -4,9 +4,10 @@ The collision acts on the canonical operators (x1, p1, x2, p2) as an
 affine symplectic map: change to center-of-mass/relative coordinates,
 reflect the relative coordinate at the wall, change back.  Covariances
 move with the linear part only.  Pushing the initial covariance through
-it derives ``closed_form_blocks``; here it stays in plain numpy so the
-closed form can be checked against it.  ``mu`` is anything with ``mu1``
-and ``mu2`` attributes, such as ``MassFractions``.
+it gives the outgoing blocks, which ``closed_form_blocks`` writes out;
+the library's ``d_minus_half`` is derived from them.  Both stay here in
+plain numpy so the library can be checked against them.  ``mu`` is
+anything with ``mu1`` and ``mu2`` attributes, such as ``MassFractions``.
 
 The grid oracle samples packets through ``EvolvedPacket.amplitude``; the
 bare t = 0 amplitude and the one-particle marginals below are what its
@@ -64,6 +65,22 @@ def scattering_map(mu, core_radius=0.0):
 def scattered_covariance(mu, s1, s2, core_radius=0.0):
     linear, _ = scattering_map(mu, core_radius)
     return linear @ initial_covariance(s1, s2) @ linear.T
+
+
+def closed_form_blocks(mu, s1, s2):
+    """Outgoing covariance blocks (A, B, C), all diagonal, of the full
+    matrix [[A, C], [C^T, B]].  With dm = mu1 - mu2:
+
+    * A = diag(2 mu2^2 s2 + dm^2 s1 / 2,  2 mu1^2 / s2 + dm^2 / (2 s1))
+    * B = diag(2 mu1^2 s1 + dm^2 s2 / 2,  2 mu2^2 / s1 + dm^2 / (2 s2))
+    * C = diag(dm (mu1 s1 - mu2 s2),      dm (mu2 / s1 - mu1 / s2))
+    """
+    mu1, mu2 = mu.mu1, mu.mu2
+    dm = mu1 - mu2
+    block_a = np.diag([2.0 * mu2**2 * s2 + dm**2 * s1 / 2.0, 2.0 * mu1**2 / s2 + dm**2 / (2.0 * s1)])
+    block_b = np.diag([2.0 * mu1**2 * s1 + dm**2 * s2 / 2.0, 2.0 * mu2**2 / s1 + dm**2 / (2.0 * s2)])
+    block_c = np.diag([dm * (mu1 * s1 - mu2 * s2), dm * (mu2 / s1 - mu1 / s2)])
+    return block_a, block_b, block_c
 
 
 def assemble(blocks):

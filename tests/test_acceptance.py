@@ -15,14 +15,13 @@ import pytest
 from hcscatter.cli import SweepConfig, run_sweep_mu
 from hcscatter.covariance import (
     MassFractions,
-    closed_form_blocks,
     d_minus_half,
     entropy_from_d_minus_half,
     purity_from_d,
 )
 from hcscatter.ellipse import (
     approx_final_ellipse,
-    ellipse_from_form,
+    scattered_ellipse,
     scattered_form,
     stretch_polynomial,
 )
@@ -30,6 +29,7 @@ from hcscatter.gridsim import reflected_state, schmidt_entropy, transient_curve
 from hcscatter.scattering import ScatterParams
 from oracles import (
     assemble,
+    closed_form_blocks,
     com_relative_map,
     marginal,
     packet_amplitude,
@@ -163,12 +163,10 @@ def test_criterion_5_ellipse_geometry():
         for _ in range(100):
             mu = MassFractions(float(rng.uniform(0.01, 0.99)))
             s1, s2 = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=2))
-            det = np.linalg.det(scattered_form(mu, s1, s2).entries)
+            det = np.linalg.det(scattered_form(mu, s1, s2))
             assert det * s1 * s2 == pytest.approx(1.0, rel=1e-10)
 
-        tilt = ellipse_from_form(
-            scattered_form(MassFractions(0.99), 1000.0**2, 1.0)
-        ).angle_rad
+        tilt = scattered_ellipse(MassFractions(0.99), 1000.0**2, 1.0).angle_rad
         assert abs(math.degrees(tilt) - math.degrees(math.atan(2.0))) <= 0.5
 
         assert approx_final_ellipse(0.25, 10.0, 1.0).angle_rad == 0.75 * math.pi

@@ -30,11 +30,12 @@ def reference_params():
 
 class TestGridSpec:
     def test_axes_and_spacing(self):
-        grid = GridSpec(-1.0, 1.0, 0.0, 4.0, 101, 81)
+        grid = GridSpec(-1.0, 1.0, 0.0, 4.0, 101)
         x1, x2 = grid.axes()
         assert x1[0] == -1.0 and x1[-1] == 1.0 and len(x1) == 101
+        assert x2[0] == 0.0 and x2[-1] == 4.0 and len(x2) == 101
         assert grid.dx1 == pytest.approx(0.02, rel=1e-12)
-        assert grid.dx2 == pytest.approx(0.05, rel=1e-12)
+        assert grid.dx2 == pytest.approx(0.04, rel=1e-12)
 
     def test_rejects_inverted_extent(self):
         with pytest.raises(ValueError, match="max > min"):
@@ -42,7 +43,7 @@ class TestGridSpec:
 
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError, match="64"):
-            GridSpec(-1.0, 1.0, -1.0, 1.0, 63, 128)
+            GridSpec(-1.0, 1.0, -1.0, 1.0, 63)
 
 
 class TestFreeEvolution:
@@ -162,7 +163,7 @@ class TestSchmidtEntropy:
         assert schmidt_entropy(free_state(params, grid_n=128)) <= 1e-6
 
     def test_balanced_two_term_superposition_is_one_bit(self):
-        grid = GridSpec(-16.0, 16.0, -16.0, 16.0, 256, 256)
+        grid = GridSpec(-16.0, 16.0, -16.0, 16.0, 256)
         x1, x2 = grid.axes()
         phi1, chi1 = packet_amplitude(-6.0, 0.0, 1.0, x1), packet_amplitude(6.0, 0.0, 1.0, x1)
         phi2, chi2 = packet_amplitude(-6.0, 0.0, 1.0, x2), packet_amplitude(6.0, 0.0, 1.0, x2)
@@ -179,7 +180,7 @@ class TestSchmidtEntropy:
         assert abs(fine - coarse) <= 1e-4
 
     def test_rejects_unnormalized_state(self):
-        grid = GridSpec(-8.0, 8.0, -8.0, 8.0, 64, 64)
+        grid = GridSpec(-8.0, 8.0, -8.0, 8.0, 64)
         x1, x2 = grid.axes()
         phi = packet_amplitude(0.0, 0.0, 1.0, x1)
         psi = 0.5 * np.outer(phi, phi)
@@ -248,12 +249,12 @@ class TestWaveGrid:
         assert free_state(params, grid_n=128).norm() == pytest.approx(1.0, abs=1e-6)
 
     def test_rejects_shape_mismatch(self):
-        grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 64, 64)
+        grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 64)
         with pytest.raises(ValueError, match="shape"):
             WaveGrid(np.zeros((64, 65), dtype=complex), grid)
 
     def test_rejects_non_finite(self):
-        grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 64, 64)
+        grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 64)
         amp = np.zeros((64, 64), dtype=complex)
         amp[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
