@@ -58,12 +58,17 @@ class MassFractions:
 
     @classmethod
     def from_masses(cls, mass1: float, mass2: float) -> "MassFractions":
-        """Build fractions from raw (positive, finite) masses."""
+        """Build fractions from raw (positive, finite) masses; a pair whose
+        sum overflows is halved first."""
         if not (math.isfinite(mass1) and math.isfinite(mass2)):
             raise ValueError(f"masses must be finite, got {mass1}, {mass2}")
         if mass1 <= 0.0 or mass2 <= 0.0:
             raise ValueError(f"masses must be positive, got {mass1}, {mass2}")
         total = mass1 + mass2
+        if math.isinf(total):
+            # Halving is exact here and leaves the fractions unchanged.
+            mass1, mass2 = 0.5 * mass1, 0.5 * mass2
+            total = mass1 + mass2
         return cls(mass1 / total, mass2 / total)
 
     @property

@@ -74,6 +74,13 @@ class TestSingle:
         assert record["entropy_bits"] == 0.0
         assert record["classification"] == "EqualMass"
 
+    def test_equal_masses_whose_sum_overflows(self, capsys):
+        assert main(["single", "--mass1", "1e308", "--mass2", "1e308", "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["mu1"] == record["mu2"] == 0.5
+        assert record["entropy_bits"] == 0.0
+        assert record["classification"] == "EqualMass"
+
     def test_reference_case_csv(self, tmp_path):
         out = tmp_path / "single.csv"
         assert main(["single", "--mu1", "0.25", "--ratio", "10", "--out", str(out)]) == 0

@@ -79,6 +79,13 @@ class TestMassFractions:
         assert mu.mu1 == 0.25
         assert mu.mu2 == 0.75
 
+    def test_masses_whose_sum_overflows(self):
+        equal = MassFractions.from_masses(2.0**1023, 2.0**1023)
+        assert (equal.mu1, equal.mu2) == (0.5, 0.5)
+        big = MassFractions.from_masses(3.0 * 2.0**1022, 2.0**1023)
+        small = MassFractions.from_masses(3.0, 2.0)
+        assert (big.mu1, big.mu2) == (small.mu1, small.mu2)
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
