@@ -254,7 +254,7 @@ def _check_norm(wave: WaveGrid, label: str) -> WaveGrid:
     norm = wave.norm()
     if abs(norm - 1.0) > _NORM_BUDGET:
         raise CoverageError(
-            f"grid norm of {label} is {norm:.6f} (deficit {1.0 - norm:+.3e}); "
+            f"grid norm of {label} is {norm:.6g} (deficit {1.0 - norm:+.3e}); "
             f"the grid does not cover the state "
             f"(x1 in [{wave.grid.x1_min:.3g}, {wave.grid.x1_max:.3g}], "
             f"x2 in [{wave.grid.x2_min:.3g}, {wave.grid.x2_max:.3g}], "

@@ -309,6 +309,17 @@ class TestOracleCheck:
         err = capsys.readouterr().err
         assert "deficit" in err
 
+    def test_coverage_error_keeps_a_huge_norm_short(self, capsys):
+        # The grid norm here is about 1e148; spelled out with a fixed
+        # number of decimals it took 300 digits.
+        argv = ["oracle-check", "--sigma1-sq", "1e300", "--sigma2-sq", "1", "--grid-n", "64"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid norm of the reflected state is ")
+        assert err.count("\n") == 1 and len(err) < 250
+        norm = err.split(" is ", 1)[1].split(" ", 1)[0]
+        assert "e+" in norm and len(norm) <= 12
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mode", ["oracle-check", "transient"])
     @pytest.mark.parametrize("coverage", ["nan", "inf"])
