@@ -248,6 +248,13 @@ def run_ellipse(cfg: SweepConfig) -> dict:
     mu = params.fractions
     s1, s2 = params.sigma1_sq, params.sigma2_sq
     exact = scattered_ellipse(mu, s1, s2)
+    # The incoming ellipse is axis-aligned with semi-axes sigma1, sigma2.
+    initial = EllipseShape(math.sqrt(max(s1, s2)), math.sqrt(min(s1, s2)),
+                           0.0 if s1 >= s2 else 0.5 * math.pi)
+    if math.isinf(max(initial.area, exact.area)):
+        raise ValueError(
+            f"ellipse area pi * sigma1 * sigma2 overflows, got sigma1_sq={s1}, sigma2_sq={s2}"
+        )
     # The warnings module would print a source path, and only on the first
     # call in a process; one plain line on every call keeps stderr fixed.
     with warnings.catch_warnings(record=True) as caught:
@@ -255,9 +262,6 @@ def run_ellipse(cfg: SweepConfig) -> dict:
         approx = approx_final_ellipse(mu.mu1, math.sqrt(s1), math.sqrt(s2))
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
-    # The incoming ellipse is axis-aligned with semi-axes sigma1, sigma2.
-    initial = EllipseShape(math.sqrt(max(s1, s2)), math.sqrt(min(s1, s2)),
-                           0.0 if s1 >= s2 else 0.5 * math.pi)
     return {
         "mu1": mu.mu1,
         "sigma1_sq": s1,

@@ -222,6 +222,21 @@ class TestEllipse:
         record = json.loads(out.read_text())
         assert record["final_area"] == pytest.approx(record["initial_area"], rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "widths", [["--ratio", "1e9"], ["--ratio", "1e154"], ["--sigma1-sq", "1e-150", "--sigma2-sq", "1e150"]]
+    )
+    def test_extreme_widths_keep_the_area(self, widths, capsys):
+        assert main(["ellipse", *widths, "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["final_area"] == pytest.approx(record["initial_area"], rel=1e-15)
+
+    def test_overflowing_area_is_a_validation_error(self, capsys):
+        assert main(["ellipse", "--sigma1-sq", "1.7e308", "--sigma2-sq", "1.7e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: ellipse area pi * sigma1 * sigma2 overflows, "
+                                "got sigma1_sq=1.7e+308, sigma2_sq=1.7e+308\n")
+
     def test_narrow_width_ratio(self, tmp_path, capsys):
         # The wide-packet approximation swaps its axes here; the exact
         # ellipse is unaffected.
@@ -233,7 +248,7 @@ class TestEllipse:
         approx_area = math.pi * record["approx_semi_major"] * record["approx_semi_minor"]
         assert approx_area == pytest.approx(math.pi * 1.5, rel=1e-14)
         assert record["approx_semi_major"] >= record["approx_semi_minor"]
-        assert record["final_area"] == pytest.approx(record["initial_area"], rel=1e-9)
+        assert record["final_area"] == pytest.approx(record["initial_area"], rel=1e-15)
 
     def test_warning_is_the_same_line_on_every_call(self, capsys):
         errors = []
