@@ -248,13 +248,10 @@ def run_ellipse(cfg: SweepConfig) -> dict:
     mu = params.fractions
     s1, s2 = params.sigma1_sq, params.sigma2_sq
     exact = scattered_ellipse(mu, s1, s2)
-    # The incoming ellipse is axis-aligned with semi-axes sigma1, sigma2.
     initial = EllipseShape(math.sqrt(max(s1, s2)), math.sqrt(min(s1, s2)),
                            0.0 if s1 >= s2 else 0.5 * math.pi)
     if math.isinf(max(initial.area, exact.area)):
-        raise ValueError(
-            f"ellipse area pi * sigma1 * sigma2 overflows, got sigma1_sq={s1}, sigma2_sq={s2}"
-        )
+        raise ValueError(f"ellipse area overflows, got sigma1_sq={s1}, sigma2_sq={s2}")
     # The warnings module would print a source path, and only on the first
     # call in a process; one plain line on every call keeps stderr fixed.
     with warnings.catch_warnings(record=True) as caught:

@@ -5,10 +5,8 @@ throughout.  A hard-core collision acts on the canonical operators as an
 affine symplectic map (a reflection of the relative coordinate), so the
 asymptotic two-particle state, and with it the generated entanglement, is
 fixed by covariance-matrix algebra alone.  Pushing the initial covariance
-through that map gives the outgoing covariance blocks in closed form.  That
-derivation, the matrix pipeline and the blocks it yields, is not library
-code: the test suite keeps it as the oracle the functions below are
-checked against.
+through that map gives the outgoing blocks in closed form; that derivation
+lives in the test suite as the oracle the functions below are checked against.
 
 The entanglement of the pure two-mode output is graded by the scalar
 d = sqrt(det A), where A is the reduced 2x2 covariance block of one mode:
@@ -58,17 +56,14 @@ class MassFractions:
 
     @classmethod
     def from_masses(cls, mass1: float, mass2: float) -> "MassFractions":
-        """Build fractions from raw (positive, finite) masses; a pair whose
-        sum overflows is halved first."""
+        """Build fractions from raw (positive, finite) masses."""
         if not (math.isfinite(mass1) and math.isfinite(mass2)):
             raise ValueError(f"masses must be finite, got {mass1}, {mass2}")
         if mass1 <= 0.0 or mass2 <= 0.0:
             raise ValueError(f"masses must be positive, got {mass1}, {mass2}")
-        total = mass1 + mass2
-        if math.isinf(total):
-            # Halving is exact here and leaves the fractions unchanged.
+        if math.isinf(mass1 + mass2):  # halving is exact and keeps the fractions
             mass1, mass2 = 0.5 * mass1, 0.5 * mass2
-            total = mass1 + mass2
+        total = mass1 + mass2
         return cls(mass1 / total, mass2 / total)
 
     @property

@@ -5,12 +5,10 @@ Dropping displacements and phases, the outgoing two-particle Gaussian is
 constant-amplitude contour ``x^T M x = 1`` is an ellipse in the
 (x1, x2) plane.  The incoming product state gives an axis-aligned ellipse
 with semi-axes sigma1, sigma2; the collision maps it to a tilted one of
-equal area: det M = 1 / (sigma1^2 sigma2^2) for every mass ratio, and
-``scattered_ellipse`` takes its long axis from that determinant instead of
-from the small eigenvalue, which cancels.  The tilt angle and the stretch
-of the axes encode how much entanglement was generated, and in the
-wide-packet limit (sigma1 >> sigma2) both reduce to simple expressions in
-mu1 alone.
+equal area, det M = 1 / (sigma1^2 sigma2^2).  The tilt angle and the
+stretch of the axes encode how much entanglement was generated, and in
+the wide-packet limit (sigma1 >> sigma2) both reduce to simple
+expressions in mu1 alone.
 """
 
 from __future__ import annotations
@@ -74,8 +72,7 @@ class EllipseShape:
 
 
 def scattered_form(mu: MassFractions, sigma1_sq: float, sigma2_sq: float) -> np.ndarray:
-    """Quadratic form M of the outgoing Gaussian, entry by entry, as a
-    read-only 2x2 array.
+    """Quadratic form M of the outgoing Gaussian as a read-only 2x2 array.
 
     With dm = mu1 - mu2:
 
@@ -105,17 +102,12 @@ def scattered_form(mu: MassFractions, sigma1_sq: float, sigma2_sq: float) -> np.
 def scattered_ellipse(mu: MassFractions, sigma1_sq: float, sigma2_sq: float) -> EllipseShape:
     """The outgoing ellipse x^T M x = 1 of ``scattered_form``.
 
-    The short axis is 1 / sqrt(lam_high) for the large eigenvalue
-    lam_high = (a + c) / 2 + hypot((a - c) / 2, b) of M = [[a, b], [b, c]],
-    a sum of non-negative terms.  The small eigenvalue would cancel, so the
-    long axis comes from the known determinant det M = 1 / (s1 s2) instead:
-    it is sqrt(s1 s2 lam_high), formed as a product of square roots so that
-    it neither cancels nor overflows.  The tilt is that of the long axis;
-    for a circle (eigenvalues equal within 1e-12 relative) any direction is
-    valid, the angle is defined as 0 and the radius is (s1 s2)^(1/4).
+    The short axis is 1 / sqrt(lam_high) for the large eigenvalue of
+    M = [[a, b], [b, c]].  The small one cancels, so the long axis comes
+    from det M = 1 / (s1 s2) as sqrt(s1) sqrt(s2) sqrt(lam_high).  A circle
+    (eigenvalues equal within 1e-12 relative) gets angle 0.
     """
-    # Axes scale with the widths.  Solving for widths scaled by an exact
-    # power of four to a product near 1 keeps every entry of M finite.
+    # Widths scaled by an exact power of four keep every entry of M finite.
     k = (math.frexp(sigma1_sq)[1] + math.frexp(sigma2_sq)[1]) // 4
     s1, s2 = math.ldexp(sigma1_sq, -2 * k), math.ldexp(sigma2_sq, -2 * k)
     m = scattered_form(mu, s1, s2)
@@ -127,15 +119,14 @@ def scattered_ellipse(mu: MassFractions, sigma1_sq: float, sigma2_sq: float) -> 
         radius = math.ldexp(math.sqrt(root_det), k)
         return EllipseShape(radius, radius, 0.0)
     # The long axis lies at half the angle of the vector (c - a, -2b).
-    # Unlike an eigenvector built from lam_low - a, this keeps its relative
-    # accuracy when b is tiny.  A tilt just below 0 can round onto pi in
-    # the reduction; that is reported as 0.
+    # Unlike an eigenvector built from the small eigenvalue, this keeps its
+    # relative accuracy when b is tiny.  A tilt just below 0 can round onto
+    # pi in the reduction; that is reported as 0.
     angle = 0.5 * math.atan2(-2.0 * b, c - a) % math.pi
     if angle == math.pi:
         angle = 0.0
     root_high = math.sqrt(lam_high)
-    major, minor = math.ldexp(root_det * root_high, k), math.ldexp(1.0 / root_high, k)
-    return EllipseShape(major, minor, angle)
+    return EllipseShape(math.ldexp(root_det * root_high, k), math.ldexp(1.0 / root_high, k), angle)
 
 
 def stretch_polynomial(x: float) -> float:

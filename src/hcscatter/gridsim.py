@@ -114,10 +114,7 @@ class WaveGrid:
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.shape != (self.grid.n, self.grid.n):
-            raise ValueError(
-                f"amplitudes shape {amp.shape} does not match grid "
-                f"({self.grid.n}, {self.grid.n})"
-            )
+            raise ValueError(f"amplitudes shape {amp.shape} does not match grid n={self.grid.n}")
         if not np.isfinite(amp.view(float)).all():
             raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", amp)

@@ -234,8 +234,9 @@ class TestEllipse:
         assert main(["ellipse", "--sigma1-sq", "1.7e308", "--sigma2-sq", "1.7e308"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: ellipse area pi * sigma1 * sigma2 overflows, "
-                                "got sigma1_sq=1.7e+308, sigma2_sq=1.7e+308\n")
+        assert captured.err == (
+            "error: ellipse area overflows, got sigma1_sq=1.7e+308, sigma2_sq=1.7e+308\n"
+        )
 
     def test_narrow_width_ratio(self, tmp_path, capsys):
         # The wide-packet approximation swaps its axes here; the exact
