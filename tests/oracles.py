@@ -77,8 +77,12 @@ def closed_form_blocks(mu, s1, s2):
     """
     mu1, mu2 = mu.mu1, mu.mu2
     dm = mu1 - mu2
-    block_a = np.diag([2.0 * mu2**2 * s2 + dm**2 * s1 / 2.0, 2.0 * mu1**2 / s2 + dm**2 / (2.0 * s1)])
-    block_b = np.diag([2.0 * mu1**2 * s1 + dm**2 * s2 / 2.0, 2.0 * mu2**2 / s1 + dm**2 / (2.0 * s2)])
+    block_a = np.diag(
+        [2.0 * mu2**2 * s2 + dm**2 * s1 / 2.0, 2.0 * mu1**2 / s2 + dm**2 / (2.0 * s1)]
+    )
+    block_b = np.diag(
+        [2.0 * mu1**2 * s1 + dm**2 * s2 / 2.0, 2.0 * mu2**2 / s1 + dm**2 / (2.0 * s2)]
+    )
     block_c = np.diag([dm * (mu1 * s1 - mu2 * s2), dm * (mu2 / s1 - mu1 / s2)])
     return block_a, block_b, block_c
 

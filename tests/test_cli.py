@@ -223,7 +223,12 @@ class TestEllipse:
         assert record["final_area"] == pytest.approx(record["initial_area"], rel=1e-15)
 
     @pytest.mark.parametrize(
-        "widths", [["--ratio", "1e9"], ["--ratio", "1e154"], ["--sigma1-sq", "1e-150", "--sigma2-sq", "1e150"]]
+        "widths",
+        [
+            ["--ratio", "1e9"],
+            ["--ratio", "1e154"],
+            ["--sigma1-sq", "1e-150", "--sigma2-sq", "1e150"],
+        ],
     )
     def test_extreme_widths_keep_the_area(self, widths, capsys):
         assert main(["ellipse", *widths, "--format", "json"]) == 0
