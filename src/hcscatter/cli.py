@@ -6,7 +6,7 @@ same flags.
 
 Outputs are CSV (scalars in '#' header lines, 17 significant digits) or
 JSON; identical configurations produce byte-identical files, and
-warnings go to stderr as one 'warning: ...' line each.  Exit codes:
+each warning goes to stderr as one 'warning: ...' line.  Exit codes:
 0 success, 2 validation error, 3 I/O error, 4 oracle-check failure.
 """
 
@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +45,6 @@ MODES = {
     "oracle-check": "Schmidt entropy of the sampled state vs the closed form",
 }
 
-# Baseline defaults; entries under a mode name override them.
 _DEFAULTS = {
     "sigma2_sq": 1.0,
     "ratio": 10.0,
@@ -56,10 +54,12 @@ _DEFAULTS = {
     "grid_n": 512,
     "coverage": 6.0,
     "format": "csv",
+}
+# Per-mode values that override _DEFAULTS.
+_MODE_DEFAULTS = {
     "sweep-mu": {"points": 99},
     "ellipse": {"points": 64},
-    "transient": {"points": 25, "ratio": 4.0, "momentum": 4.0,
-                  "mass1": 1.0, "mass2": 3.0},
+    "transient": {"points": 25, "ratio": 4.0, "momentum": 4.0},
 }
 
 # Parameter pairs that select the same quantity two ways.  Keys on one
@@ -112,12 +112,15 @@ def parse_config_file(path: str, types: dict) -> dict:
     return values
 
 
-def _resolve(mode: str, supplied: dict) -> SweepConfig:
-    """Merge mode defaults with supplied values and validate the result."""
-    merged = {k: v for k, v in _DEFAULTS.items() if not isinstance(v, dict)}
-    merged.update(_DEFAULTS.get(mode, {}))
-    explicit = {k for k, v in supplied.items() if v is not None}
-    merged.update({k: v for k, v in supplied.items() if v is not None})
+def _resolve(mode: str, flags: dict, file_values: dict) -> SweepConfig:
+    """Layer the given flags over the configuration file's values over
+    the mode defaults, and validate the result."""
+    for pair in _ALTERNATIVES:
+        for side, other in (pair, pair[::-1]):
+            if flags.keys() & side:
+                file_values = {k: v for k, v in file_values.items() if k not in other}
+    explicit = set(file_values) | set(flags)
+    merged = {**_DEFAULTS, **_MODE_DEFAULTS.get(mode, {}), **file_values, **flags}
 
     for left, right in _ALTERNATIVES:
         for side in (left, right):
@@ -142,7 +145,7 @@ def _resolve(mode: str, supplied: dict) -> SweepConfig:
 
     # Raw masses are normalized by ScatterParams; a bare mu1 enters as the
     # pair (mu1, 1 - mu1).
-    if "mass1" in explicit or ("mu1" not in explicit and "mass1" in merged):
+    if "mass1" in explicit:
         masses = merged["mass1"], merged["mass2"]
     else:
         mu = MassFractions(merged["mu1"])
@@ -252,13 +255,11 @@ def run_ellipse(cfg: SweepConfig) -> dict:
                            0.0 if s1 >= s2 else 0.5 * math.pi)
     if math.isinf(max(initial.area, exact.area)):
         raise ValueError(f"ellipse area overflows, got sigma1_sq={s1}, sigma2_sq={s2}")
-    # The warnings module would print a source path, and only on the first
-    # call in a process; one plain line on every call keeps stderr fixed.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        approx = approx_final_ellipse(mu.mu1, math.sqrt(s1), math.sqrt(s2))
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    sigma1, sigma2 = math.sqrt(s1), math.sqrt(s2)
+    approx = approx_final_ellipse(mu.mu1, sigma1, sigma2)
+    if sigma1 / sigma2 < 10.0:
+        print(f"warning: width ratio {sigma1 / sigma2:.3g} is below 10; the wide-packet "
+              "approximation degrades", file=sys.stderr)
     return {
         "mu1": mu.mu1,
         "sigma1_sq": s1,
@@ -358,7 +359,7 @@ def _csv_lines(record: dict, mode: str) -> list[str]:
         lines.append(",".join(columns))
         for row in record["rows"]:
             lines.append(",".join(_fmt(row[c]) for c in columns))
-    elif mode == "ellipse":
+    else:  # ellipse
         for key, value in record.items():
             if key.startswith("boundary_"):
                 continue
@@ -367,8 +368,6 @@ def _csv_lines(record: dict, mode: str) -> list[str]:
         for name in ("initial", "final"):
             for idx, (x, y) in enumerate(record[f"boundary_{name}"]):
                 lines.append(f"{name},{idx},{_fmt(x)},{_fmt(y)}")
-    else:  # pragma: no cover
-        raise ValueError(f"unknown mode {mode!r}")
     return lines
 
 
@@ -432,20 +431,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 def main(argv=None) -> int:
     parser, types = _build_parser()
     args = parser.parse_args(argv)
-    flags = {key: getattr(args, key) for key in types}
+    flags = {k: v for k, v in vars(args).items() if k in types and v is not None}
     try:
-        supplied = dict(flags)
-        if args.config is not None:
-            file_values = parse_config_file(args.config, types)
-            for left, right in _ALTERNATIVES:
-                for side, other in ((left, right), (right, left)):
-                    if any(flags[k] is not None for k in side):
-                        for k in other:
-                            file_values.pop(k, None)
-            for key, value in file_values.items():
-                if supplied[key] is None:
-                    supplied[key] = value
-        cfg = _resolve(args.mode, supplied)
+        file_values = {} if args.config is None else parse_config_file(args.config, types)
+        cfg = _resolve(args.mode, flags, file_values)
         record = _RUNNERS[cfg.mode](cfg)
         _emit(record, cfg)
     except ValueError as exc:  # CoverageError included

@@ -6,15 +6,14 @@ constant-amplitude contour ``x^T M x = 1`` is an ellipse in the
 (x1, x2) plane.  The incoming product state gives an axis-aligned ellipse
 with semi-axes sigma1, sigma2; the collision maps it to a tilted one of
 equal area, det M = 1 / (sigma1^2 sigma2^2).  The tilt angle and the
-stretch of the axes encode how much entanglement was generated, and in
-the wide-packet limit (sigma1 >> sigma2) both reduce to simple
-expressions in mu1 alone.
+stretch of the axes encode how much entanglement was generated; in the
+wide-packet limit sigma1 >> sigma2 both reduce to expressions in mu1,
+which degrade below width ratio 10 (the CLI's ellipse mode warns there).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,7 +150,7 @@ def _approx_angle(mu1: float) -> float:
 def approx_final_ellipse(mu1: float, sigma1: float, sigma2: float) -> EllipseShape:
     """Wide-packet approximation of the outgoing ellipse.
 
-    Valid for sigma1 >> sigma2 (a warning is emitted below ratio 10):
+    Valid for sigma1 >> sigma2; it degrades below ratio 10 (unchecked here):
     the axis along the wide packet becomes sigma1 sqrt(Q(mu1)), the other
     shrinks by the same factor to preserve area, and the tilt of the first
     is arctan(2 mu1 / (2 mu1 - 1)) resolved so that mu1 > 1/2 lands in
@@ -164,12 +163,6 @@ def approx_final_ellipse(mu1: float, sigma1: float, sigma2: float) -> EllipseSha
         raise ValueError("widths must be positive")
     if not 0.0 < mu1 <= 1.0:
         raise ValueError(f"mu1 must lie in (0, 1], got {mu1}")
-    if sigma1 / sigma2 < 10.0:
-        warnings.warn(
-            f"width ratio {sigma1 / sigma2:.3g} is below 10; the wide-packet "
-            "approximation degrades",
-            stacklevel=2,
-        )
     stretch = math.sqrt(stretch_polynomial(mu1))
     wide, narrow, angle = stretch * sigma1, sigma2 / stretch, _approx_angle(mu1)
     if wide < narrow:

@@ -62,11 +62,6 @@ _MIN_POINTS = 64
 class CoverageError(ValueError):
     """The grid does not capture enough of the state's probability mass."""
 
-    def __init__(self, message: str, *, norm: float | None = None, grid: "GridSpec | None" = None):
-        super().__init__(message)
-        self.norm = norm
-        self.grid = grid
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -255,9 +250,7 @@ def _check_norm(wave: WaveGrid, label: str) -> WaveGrid:
             f"the grid does not cover the state "
             f"(x1 in [{wave.grid.x1_min:.3g}, {wave.grid.x1_max:.3g}], "
             f"x2 in [{wave.grid.x2_min:.3g}, {wave.grid.x2_max:.3g}], "
-            f"n1={wave.grid.n}, n2={wave.grid.n})",
-            norm=norm,
-            grid=wave.grid,
+            f"n1={wave.grid.n}, n2={wave.grid.n})"
         )
     return wave
 

@@ -220,10 +220,6 @@ class TestApproxFinalEllipse:
         assert shape.semi_major == pytest.approx(20.0 * scale, rel=1e-15)
         assert shape.semi_minor == pytest.approx(1.0 / scale, rel=1e-15)
 
-    def test_warns_below_ratio_ten(self):
-        with pytest.warns(UserWarning, match="below 10"):
-            approx_final_ellipse(0.8, 5.0, 1.0)
-
     def test_convergence_to_exact(self):
         # Fixed mu, growing width ratio: the approximation error in all
         # three shape parameters falls monotonically and ends below 1%.
@@ -266,9 +262,8 @@ class TestApproxFinalEllipse:
     def test_narrow_wide_packet_swaps_axes(self, mu1):
         # At ratio 1.5 the approximate axis along packet 1 comes out the
         # shorter one: the axes swap and the tilt turns by pi/2.
-        with pytest.warns(UserWarning, match="below 10"):
-            shape = approx_final_ellipse(mu1, 1.5, 1.0)
-            wide = approx_final_ellipse(mu1, 15.0, 1.0)
+        shape = approx_final_ellipse(mu1, 1.5, 1.0)
+        wide = approx_final_ellipse(mu1, 15.0, 1.0)
         scale = math.sqrt(stretch_polynomial(mu1))
         assert (shape.semi_major, shape.semi_minor) == (1.0 / scale, 1.5 * scale)
         assert shape.area == pytest.approx(math.pi * 1.5, rel=1e-15)
