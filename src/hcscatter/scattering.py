@@ -52,7 +52,9 @@ class ScatterParams:
     momentum at most 1e154.
 
     ``q1``/``q2`` default to ``8 * max(sigma1, sigma2) + core_radius`` so
-    that the initial packets overlap neither each other nor the core.
+    that the initial packets overlap neither each other nor the core; when
+    the widths are too small for that sum to exceed ``core_radius``, to
+    the next float above it.
     """
 
     mass1: float
@@ -97,6 +99,7 @@ class ScatterParams:
         object.__setattr__(self, "mass1", mu.mu1)
         object.__setattr__(self, "mass2", mu.mu2)
         default_q = 8.0 * math.sqrt(max(self.sigma1_sq, self.sigma2_sq)) + self.core_radius
+        default_q = max(default_q, math.nextafter(self.core_radius, math.inf))
         if self.q1 is None:
             object.__setattr__(self, "q1", default_q)
         if self.q2 is None:

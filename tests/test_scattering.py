@@ -45,6 +45,11 @@ class TestScatterParams:
         assert params.q1 == pytest.approx(8.0 * 3.0 + 0.5)
         assert params.q2 == params.q1
 
+    def test_default_centers_clear_the_core_at_tiny_widths(self):
+        # 8 sigma + 0.5 rounds to 0.5 here; the centers take the next float.
+        params = ScatterParams(1.0, 3.0, 1e-40, 1e-40, core_radius=0.5)
+        assert params.q1 == params.q2 == math.nextafter(0.5, math.inf)
+
     def test_width_ratio(self):
         assert ScatterParams(1.0, 1.0, 100.0, 1.0).width_ratio == 10.0
 
