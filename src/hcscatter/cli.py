@@ -22,7 +22,7 @@ import numpy as np
 
 from .covariance import MassFractions, d_minus_half, entropy_from_d_minus_half, purity_from_d
 from .ellipse import EllipseShape, approx_final_ellipse, scattered_ellipse
-from .gridsim import reflected_state, schmidt_entropy, transient_curve
+from .gridsim import COVERAGE, reflected_state, schmidt_entropy, transient_curve
 from .scattering import ScatterParams, d_asymptotic, is_zero_entanglement
 
 __all__ = ["SweepConfig", "main", "entrypoint",
@@ -52,7 +52,6 @@ _DEFAULTS = {
     "momentum": 1.0,
     "core_radius": 0.5,
     "grid_n": 512,
-    "coverage": 6.0,
     "format": "csv",
 }
 # Per-mode values that override _DEFAULTS.
@@ -79,7 +78,6 @@ class SweepConfig:
     mode: str
     params: ScatterParams
     grid_n: int
-    coverage: float
     points: int
     t_start: float | None
     t_stop: float | None
@@ -161,11 +159,6 @@ def _resolve(mode: str, flags: dict, file_values: dict) -> SweepConfig:
     if mode in ("transient", "ellipse") and points < 1:
         raise ValueError(f"{mode} needs at least 1 point, got {points}")
 
-    t_start = merged.get("t_start")
-    t_stop = merged.get("t_stop")
-    if t_start is not None and t_stop is not None and not t_stop > t_start:
-        raise ValueError("t_stop must exceed t_start")
-
     params = ScatterParams(
         *masses,
         sigma1_sq,
@@ -179,10 +172,9 @@ def _resolve(mode: str, flags: dict, file_values: dict) -> SweepConfig:
         mode=mode,
         params=params,
         grid_n=merged["grid_n"],
-        coverage=merged["coverage"],
         points=points,
-        t_start=t_start,
-        t_stop=t_stop,
+        t_start=merged.get("t_start"),
+        t_stop=merged.get("t_stop"),
         out=merged.get("out"),
         fmt=fmt,
     )
@@ -294,7 +286,7 @@ def run_transient(cfg: SweepConfig) -> dict:
     if not t_stop > t_start:
         raise ValueError("t_stop must exceed t_start")
     times = np.linspace(t_start, t_stop, cfg.points)
-    entropies = transient_curve(params, times, grid_n=cfg.grid_n, coverage=cfg.coverage)
+    entropies = transient_curve(params, times, grid_n=cfg.grid_n)
     _, asymptote, _ = _entanglement(params.fractions, params.sigma1_sq, params.sigma2_sq)
     meta = {
         "mu1": params.fractions.mu1,
@@ -305,7 +297,7 @@ def run_transient(cfg: SweepConfig) -> dict:
         "q1": params.q1,
         "q2": params.q2,
         "grid_n": cfg.grid_n,
-        "coverage": cfg.coverage,
+        "coverage": COVERAGE,
         "analytic_entropy_bits": asymptote,
         "estimated_collision_time": t_collision,
     }
@@ -318,7 +310,7 @@ def run_oracle_check(cfg: SweepConfig) -> dict:
     closed form; passes when they agree within 1e-3 bits."""
     params = cfg.params
     _, analytic, _ = _entanglement(params.fractions, params.sigma1_sq, params.sigma2_sq)
-    wave = reflected_state(params, grid_n=cfg.grid_n, coverage=cfg.coverage)
+    wave = reflected_state(params, grid_n=cfg.grid_n)
     schmidt = schmidt_entropy(wave)
     difference = abs(schmidt - analytic)
     return {
@@ -412,8 +404,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     numerics = parser.add_argument_group("numerics and output")
     numerics.add_argument("--grid-n", type=int, dest="grid_n",
                           help="grid points per axis (default 512)")
-    numerics.add_argument("--coverage", type=float,
-                          help="grid half-width in density standard deviations (default 6)")
     numerics.add_argument("--points", type=int,
                           help="number of sweep/time/boundary points")
     numerics.add_argument("--t-start", type=float, dest="t_start", help="first time point")

@@ -63,7 +63,6 @@ def sweep_config(**overrides):
         mode="sweep-mu",
         params=ScatterParams(0.25, 0.75, 100.0, 1.0, momentum=1.0, core_radius=0.5),
         grid_n=512,
-        coverage=6.0,
         points=99,
         t_start=None,
         t_stop=None,

@@ -303,6 +303,15 @@ class TestTransient:
 
     def test_bad_window(self, capsys):
         assert main(["transient", "--t-start", "2", "--t-stop", "1"]) == 2
+        assert capsys.readouterr().err == "error: t_stop must exceed t_start\n"
+
+    @pytest.mark.parametrize("mode", ["single", "sweep-mu", "ellipse"])
+    def test_modes_without_times_ignore_the_window(self, mode, capsys):
+        argv = [mode, "--ratio", "10", "--points", "3"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main([*argv, "--t-start", "2", "--t-stop", "1"]) == 0
+        assert capsys.readouterr() == plain
 
     @pytest.mark.parametrize("masses", [["--mu1", "0.25"], ["--mass1", "1", "--mass2", "3"]])
     def test_default_masses(self, masses, capsys):
@@ -343,10 +352,12 @@ class TestOracleCheck:
         assert record["passed"] is True
 
     def test_starved_grid_is_a_coverage_error(self, capsys):
-        code = main(["oracle-check", "--grid-n", "64", "--coverage", "2.0"])
+        # At width ratio 100 the reflected state is a ridge narrower than
+        # the 64-point spacing, so the grid norm misses 1 by far.
+        code = main(["oracle-check", "--ratio", "100", "--grid-n", "64"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "deficit" in err
+        assert "deficit" in err and "outside the 1% budget" in err
 
     def test_coverage_error_keeps_a_huge_norm_short(self, capsys):
         # The grid norm here is about 1e148; spelled out with a fixed
@@ -359,14 +370,25 @@ class TestOracleCheck:
         norm = err.split(" is ", 1)[1].split(" ", 1)[0]
         assert "e+" in norm and len(norm) <= 12
 
+    def test_coverage_flag_is_gone(self, capsys):
+        # The grid box is fixed at six standard deviations; --grid-n alone
+        # sets the resolution.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["oracle-check", "--coverage", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --coverage 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", ["oracle-check", "transient"])
     @pytest.mark.parametrize("coverage", ["nan", "inf"])
     def test_non_finite_coverage_is_a_validation_error(self, mode, coverage, capsys):
-        assert main([mode, "--grid-n", "64", "--points", "1", "--coverage", coverage]) == 2
+        # Without the flag these values cannot reach a grid: still exit 2,
+        # nothing on stdout.
+        with pytest.raises(SystemExit) as excinfo:
+            main([mode, "--grid-n", "64", "--points", "1", "--coverage", coverage])
+        assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: coverage must be positive and finite, got {coverage}\n"
-
+        assert f"unrecognized arguments: --coverage {coverage}" in captured.err
 
     @pytest.mark.parametrize("mode", ["oracle-check", "transient"])
     def test_tiny_widths_are_a_validation_error(self, mode, capsys):
@@ -426,6 +448,12 @@ class TestConfigFile:
         cfg.write_text("sigma3_sq = 1\n")
         assert main(["single", "--config", str(cfg)]) == 2
         assert "unknown configuration key" in capsys.readouterr().err
+
+    def test_coverage_key_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("coverage = 6\n")
+        assert main(["oracle-check", "--config", str(cfg)]) == 2
+        assert "unknown configuration key 'coverage'" in capsys.readouterr().err
 
     def test_missing_config_file_is_io_error(self, capsys):
         assert main(["single", "--config", "/nonexistent/run.cfg"]) == 3
