@@ -243,11 +243,10 @@ def run_ellipse(cfg: SweepConfig) -> dict:
     mu = params.fractions
     s1, s2 = params.sigma1_sq, params.sigma2_sq
     exact = scattered_ellipse(mu, s1, s2)
-    initial = EllipseShape(math.sqrt(max(s1, s2)), math.sqrt(min(s1, s2)),
-                           0.0 if s1 >= s2 else 0.5 * math.pi)
+    sigma1, sigma2 = math.sqrt(s1), math.sqrt(s2)
+    initial = EllipseShape.from_axes(sigma1, sigma2, 0.0)
     if math.isinf(max(initial.area, exact.area)):
         raise ValueError(f"ellipse area overflows, got sigma1_sq={s1}, sigma2_sq={s2}")
-    sigma1, sigma2 = math.sqrt(s1), math.sqrt(s2)
     approx = approx_final_ellipse(mu.mu1, sigma1, sigma2)
     if sigma1 / sigma2 < 10.0:
         print(f"warning: width ratio {sigma1 / sigma2:.3g} is below 10; the wide-packet "

@@ -21,7 +21,7 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "MassFractions",
@@ -33,26 +33,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MassFractions:
-    """Normalized mass fractions mu1 = m1/(m1+m2) and mu2 = m2/(m1+m2).
+    """Normalized mass fractions mu1 = m1/(m1+m2), mu2 = m2/(m1+m2) and
+    their asymmetry delta = mu1 - mu2.
 
     Only the fractions, never the raw masses, enter the asymptotic
-    entanglement.  ``mu2`` may be omitted, in which case it is derived as
-    ``1 - mu1``; when given explicitly the pair must sum to one within
-    1e-15.
+    entanglement.  ``MassFractions(mu1)`` sets ``mu2 = 1 - mu1`` and
+    ``delta = 2 mu1 - 1``; ``from_masses`` sets ``mu2 = m2/total`` and
+    ``delta = (m1 - m2)/total``.  Each is rounded once from those numbers,
+    never as a difference of two rounded fractions, so ``delta`` keeps its
+    relative accuracy right up to equal masses.
     """
 
     mu1: float
-    mu2: float | None = None
+    mu2: float = field(init=False)
+    delta: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.mu1 < 1.0:
             raise ValueError(f"mu1 must lie strictly between 0 and 1, got {self.mu1}")
-        if self.mu2 is None:
-            object.__setattr__(self, "mu2", 1.0 - self.mu1)
-        elif abs(self.mu1 + self.mu2 - 1.0) > 1e-15:
-            raise ValueError(
-                f"mass fractions must sum to 1, got {self.mu1} + {self.mu2}"
-            )
+        object.__setattr__(self, "mu2", 1.0 - self.mu1)
+        object.__setattr__(self, "delta", 2.0 * self.mu1 - 1.0)
 
     @classmethod
     def from_masses(cls, mass1: float, mass2: float) -> "MassFractions":
@@ -64,12 +64,10 @@ class MassFractions:
         if math.isinf(mass1 + mass2):  # halving is exact and keeps the fractions
             mass1, mass2 = 0.5 * mass1, 0.5 * mass2
         total = mass1 + mass2
-        return cls(mass1 / total, mass2 / total)
-
-    @property
-    def delta(self) -> float:
-        """The asymmetry mu1 - mu2 that drives entanglement generation."""
-        return self.mu1 - self.mu2
+        mu = cls(mass1 / total)
+        object.__setattr__(mu, "mu2", mass2 / total)
+        object.__setattr__(mu, "delta", (mass1 - mass2) / total)
+        return mu
 
 
 def d_minus_half(mu: MassFractions, sigma1_sq: float, sigma2_sq: float) -> float:

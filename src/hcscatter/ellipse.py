@@ -52,6 +52,17 @@ class EllipseShape:
         if not 0.0 <= self.angle_rad < math.pi:
             raise ValueError(f"angle must lie in [0, pi), got {self.angle_rad}")
 
+    @classmethod
+    def from_axes(cls, first: float, second: float, angle_rad: float) -> "EllipseShape":
+        """The ellipse with semi-axis ``first`` along ``angle_rad`` and
+        ``second`` across it.  The longer one becomes the semi-major axis:
+        when ``second`` is longer the axes swap and the tilt turns by pi/2.
+        The tilt is reduced modulo pi.
+        """
+        if second > first:
+            first, second, angle_rad = second, first, angle_rad + 0.5 * math.pi
+        return cls(first, second, angle_rad % math.pi)
+
     @property
     def area(self) -> float:
         return math.pi * self.semi_major * self.semi_minor
@@ -138,33 +149,21 @@ def stretch_polynomial(x: float) -> float:
     return 8.0 * x**2 - 4.0 * x + 1.0
 
 
-def _approx_angle(mu1: float) -> float:
-    if mu1 == 0.5:
-        return 0.5 * math.pi
-    raw = math.atan(2.0 * mu1 / (2.0 * mu1 - 1.0))
-    # Below equal mass the raw arctangent is negative; shifting by pi puts
-    # the axis direction in (pi/2, pi) where it belongs.
-    return raw + math.pi if mu1 < 0.5 else raw
-
-
 def approx_final_ellipse(mu1: float, sigma1: float, sigma2: float) -> EllipseShape:
     """Wide-packet approximation of the outgoing ellipse.
 
     Valid for sigma1 >> sigma2; it degrades below ratio 10 (unchecked here):
     the axis along the wide packet becomes sigma1 sqrt(Q(mu1)), the other
-    shrinks by the same factor to preserve area, and the tilt of the first
-    is arctan(2 mu1 / (2 mu1 - 1)) resolved so that mu1 > 1/2 lands in
-    (arctan 2, pi/2), mu1 < 1/2 in (pi/2, pi) and mu1 = 1/2 at pi/2.
-    Takes the bare fraction mu1 in (0, 1].  Far outside its range of
-    validity the second axis can come out longer; the axes are then
-    swapped and the angle turned by pi/2 so that the shape stays valid.
+    shrinks by the same factor to preserve area, and the first is tilted by
+    atan2(2 mu1, 2 mu1 - 1): in (arctan 2, pi/2) for mu1 > 1/2, pi/2 at
+    mu1 = 1/2 and in (pi/2, pi) below.  Takes the bare fraction mu1 in
+    (0, 1].  Far outside its range of validity the second axis can come
+    out longer; ``EllipseShape.from_axes`` then puts it first.
     """
     if sigma1 <= 0.0 or sigma2 <= 0.0:
         raise ValueError("widths must be positive")
     if not 0.0 < mu1 <= 1.0:
         raise ValueError(f"mu1 must lie in (0, 1], got {mu1}")
     stretch = math.sqrt(stretch_polynomial(mu1))
-    wide, narrow, angle = stretch * sigma1, sigma2 / stretch, _approx_angle(mu1)
-    if wide < narrow:
-        return EllipseShape(narrow, wide, (angle + 0.5 * math.pi) % math.pi)
-    return EllipseShape(wide, narrow, angle)
+    angle = math.atan2(2.0 * mu1, 2.0 * mu1 - 1.0)
+    return EllipseShape.from_axes(stretch * sigma1, sigma2 / stretch, angle)

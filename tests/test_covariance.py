@@ -91,9 +91,19 @@ class TestMassFractions:
         with pytest.raises(ValueError):
             MassFractions(bad)
 
-    def test_rejects_inconsistent_pair(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            MassFractions(0.3, 0.6)
+    def test_takes_only_mu1(self):
+        with pytest.raises(TypeError):
+            MassFractions(0.3, 0.7)
+
+    def test_from_masses_keeps_delta_accurate(self):
+        # m1/total - m2/total is 0.5 off here: it subtracts two rounded
+        # fractions.  (m1 - m2)/total rounds only the quotient.
+        mass2 = 3.0 + 2.0**-51
+        mu = MassFractions.from_masses(3.0, mass2)
+        with mpmath.workdps(50):
+            want = (3 - mpmath.mpf(mass2)) / (3 + mpmath.mpf(mass2))
+        assert abs(mu.delta - want) <= 2.0**-53 * abs(want)
+        assert mu.mu2 == mass2 / (3.0 + mass2)
 
     def test_rejects_bad_masses(self):
         with pytest.raises(ValueError, match="positive"):
@@ -432,7 +442,13 @@ class TestClosedFormAccuracy:
             mu = MassFractions(0.5 + gap / 2.0)
             s2 = s1 * mu1 / (1.0 - mu1)
             assume(balance_distance(mu, s1, s2) >= 1e-3)
-        assert_matches_oracle(mu, s1, s2, rel=1e-6)
+        assert_matches_oracle(mu, s1, s2, rel=1e-12 if locus == "equal-mass" else 1e-6)
+
+    def test_next_to_equal_mass(self):
+        # 1 - mu1 rounds to 1/2 here; delta = 2 mu1 - 1 does not round.
+        mu = MassFractions(0.5 - 2.0**-54)
+        assert mu.delta == -(2.0**-53)
+        assert_matches_oracle(mu, 3.0, 7.0, rel=1e-15)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(min_value=1, max_value=1023), st.integers(min_value=-60, max_value=60))

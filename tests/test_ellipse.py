@@ -214,6 +214,18 @@ class TestApproxFinalEllipse:
         shape = approx_final_ellipse(1e-6, 10.0, 1.0)
         assert shape.angle_rad == pytest.approx(math.pi, abs=1e-5)
 
+    def test_tilt_reduced_modulo_pi(self):
+        # atan2 rounds onto pi for a tiny mu1; an axis at pi is the axis at 0.
+        assert approx_final_ellipse(1e-20, 10.0, 1.0).angle_rad == 0.0
+
+    def test_tilt_against_mpmath(self):
+        rng = np.random.default_rng(31)
+        with mpmath.workdps(50):
+            for mu1 in rng.uniform(0.0, 1.0, 500).tolist():
+                got = approx_final_ellipse(mu1, 1e3, 1.0).angle_rad
+                want = mpmath.atan2(2 * mpmath.mpf(mu1), 2 * mpmath.mpf(mu1) - 1)
+                assert abs(got - want) <= 2.0**-52 * want
+
     def test_axes_from_stretch_polynomial(self):
         shape = approx_final_ellipse(0.8, 20.0, 1.0)
         scale = math.sqrt(stretch_polynomial(0.8))
@@ -282,6 +294,15 @@ class TestEllipseShape:
     def test_rejects_angle_out_of_range(self):
         with pytest.raises(ValueError, match="angle"):
             EllipseShape(2.0, 1.0, math.pi)
+
+    def test_from_axes_keeps_the_longer_axis_first(self):
+        assert EllipseShape.from_axes(2.0, 0.5, 0.3) == EllipseShape(2.0, 0.5, 0.3)
+        assert EllipseShape.from_axes(3.0, 3.0, 0.0) == EllipseShape(3.0, 3.0, 0.0)
+
+    def test_from_axes_swaps_and_turns(self):
+        assert EllipseShape.from_axes(0.5, 2.0, 0.0) == EllipseShape(2.0, 0.5, 0.5 * math.pi)
+        turned = EllipseShape.from_axes(0.5, 2.0, 0.75 * math.pi)
+        assert turned.angle_rad == pytest.approx(0.25 * math.pi, rel=1e-15)
 
     def test_boundary_point_count(self):
         assert EllipseShape(2.0, 1.0, 0.3).boundary_points(17).shape == (17, 2)
