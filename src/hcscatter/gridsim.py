@@ -73,7 +73,9 @@ class GridSpec:
     """Uniform rectangular grid over the (x1, x2) plane.
 
     Both axes carry the same number n of points, at least 64; they are
-    endpoint-inclusive with spacing (max - min) / (n - 1).
+    endpoint-inclusive with spacing (max - min) / (n - 1), which must
+    exceed the float spacing (``math.ulp``) of the axis's largest extent
+    so that the points are distinct.
     """
 
     x1_min: float
@@ -83,10 +85,16 @@ class GridSpec:
     n: int = 512
 
     def __post_init__(self) -> None:
-        if not (self.x1_max > self.x1_min and self.x2_max > self.x2_min):
-            raise ValueError("grid extents must satisfy max > min on both axes")
         if self.n < _MIN_POINTS:
             raise ValueError(f"need at least {_MIN_POINTS} points per axis")
+        for axis, low, high, dx in (("x1", self.x1_min, self.x1_max, self.dx1),
+                                    ("x2", self.x2_min, self.x2_max, self.dx2)):
+            resolution = math.ulp(max(abs(low), abs(high)))
+            if not dx > resolution:
+                raise ValueError(
+                    f"grid axis {axis} in [{low:.17g}, {high:.17g}] has spacing {dx:.3g}, "
+                    f"not above the float spacing {resolution:.3g} there (n={self.n})"
+                )
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         return (

@@ -399,6 +399,7 @@ class TestOracleCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "n=64" in captured.err
 
     @pytest.mark.parametrize("mode", ["oracle-check", "transient"])
     @pytest.mark.parametrize("momentum", ["1e155", "1e300"])

@@ -38,8 +38,14 @@ class TestGridSpec:
         assert grid.dx2 == pytest.approx(0.04, rel=1e-12)
 
     def test_rejects_inverted_extent(self):
-        with pytest.raises(ValueError, match="max > min"):
+        with pytest.raises(ValueError, match=r"axis x1 in \[1, -1\] has spacing -0.0039"):
             GridSpec(1.0, -1.0, 0.0, 1.0)
+
+    def test_rejects_points_closer_than_the_float_spacing(self):
+        # 63 steps of 2**-53 fit between 0.5 and the next float above it.
+        with pytest.raises(ValueError, match=r"axis x2 .* float spacing 1.11e-16 .*n=64"):
+            GridSpec(0.0, 1.0, 0.5, 0.5 + 2.0**-52, 64)
+        GridSpec(0.0, 1.0, 0.5, 0.5 + 2.0**-45, 64)
 
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError, match="64"):
