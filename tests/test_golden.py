@@ -5,10 +5,15 @@ stderr; ``golden/<case>.txt`` holds the stdout the CLI printed for it.
 Stdout must match byte for byte, except for the values that come out of
 a LAPACK singular-value decomposition, which are compared within 1e-12
 bits so that a different BLAS build does not fail the test.
+
+Run as a script, ``python tests/test_golden.py`` replays every case
+through the installed ``hcscatter`` command, each in a fresh process,
+with the same comparison.
 """
 
 import json
 import re
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -55,17 +60,35 @@ def split_lapack_values(text, mode):
     return "\n".join(lines), values
 
 
+def argv_of(name):
+    return [arg.replace("{golden}", str(GOLDEN)) for arg in CASES[name]["argv"]]
+
+
+def check_run(name, exit_code, out, err):
+    """Assert that one run of case ``name`` gave its pinned exit code,
+    stderr and stdout."""
+    case = CASES[name]
+    assert exit_code == case["exit"], name
+    assert err.replace(str(GOLDEN), "{golden}") == case["stderr"], name
+    mode = case["argv"][0]
+    expected = (GOLDEN / f"{name}.txt").read_text()
+    actual_text, actual_values = split_lapack_values(out, mode)
+    expected_text, expected_values = split_lapack_values(expected, mode)
+    assert actual_text == expected_text, name
+    assert len(actual_values) == len(expected_values), name
+    for got, want in zip(actual_values, expected_values):
+        assert abs(got - want) <= LAPACK_TOL_BITS, name
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, capsys):
-    case = CASES[name]
-    argv = [arg.replace("{golden}", str(GOLDEN)) for arg in case["argv"]]
-    assert main(argv) == case["exit"]
+    exit_code = main(argv_of(name))
     captured = capsys.readouterr()
-    assert captured.err.replace(str(GOLDEN), "{golden}") == case["stderr"]
-    expected = (GOLDEN / f"{name}.txt").read_text()
-    actual_text, actual_values = split_lapack_values(captured.out, argv[0])
-    expected_text, expected_values = split_lapack_values(expected, argv[0])
-    assert actual_text == expected_text
-    assert len(actual_values) == len(expected_values)
-    for got, want in zip(actual_values, expected_values):
-        assert abs(got - want) <= LAPACK_TOL_BITS
+    check_run(name, exit_code, captured.out, captured.err)
+
+
+if __name__ == "__main__":
+    for name in sorted(CASES):
+        done = subprocess.run(["hcscatter", *argv_of(name)], capture_output=True, text=True)
+        check_run(name, done.returncode, done.stdout, done.stderr)
+    print(f"{len(CASES)} golden cases replayed through the installed hcscatter")
