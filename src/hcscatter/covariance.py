@@ -12,7 +12,8 @@ The entanglement of the pure two-mode output is graded by the scalar
 d = sqrt(det A), where A is the reduced 2x2 covariance block of one mode:
 d = 1/2 marks a pure (unentangled) reduced state, larger d means more
 entanglement.  The library computes d - 1/2 itself (``d_minus_half``) and
-grades the entropy by it, so both zero-entanglement loci give exactly 0.
+grades the entropy by it, so both zero-entanglement loci give exactly 0;
+``MassFractions.delta``, rounded once, keeps it accurate near equal masses.
 
 All functions here are pure and hold no state; they are safe to call
 concurrently.
@@ -39,9 +40,8 @@ class MassFractions:
     Only the fractions, never the raw masses, enter the asymptotic
     entanglement.  ``MassFractions(mu1)`` sets ``mu2 = 1 - mu1`` and
     ``delta = 2 mu1 - 1``; ``from_masses`` sets ``mu2 = m2/total`` and
-    ``delta = (m1 - m2)/total``.  Each is rounded once from those numbers,
-    never as a difference of two rounded fractions, so ``delta`` keeps its
-    relative accuracy right up to equal masses.
+    ``delta = (m1 - m2)/total``.  Each is rounded once, never formed from
+    two rounded fractions, so ``delta`` stays accurate up to equal masses.
     """
 
     mu1: float

@@ -9,6 +9,7 @@ equal area, det M = 1 / (sigma1^2 sigma2^2).  The tilt angle and the
 stretch of the axes encode how much entanglement was generated; in the
 wide-packet limit sigma1 >> sigma2 both reduce to expressions in mu1,
 which degrade below width ratio 10 (the CLI's ellipse mode warns there).
+``EllipseShape.from_axes`` is the one rule that orders a pair of axes.
 """
 
 from __future__ import annotations
@@ -54,11 +55,8 @@ class EllipseShape:
 
     @classmethod
     def from_axes(cls, first: float, second: float, angle_rad: float) -> "EllipseShape":
-        """The ellipse with semi-axis ``first`` along ``angle_rad`` and
-        ``second`` across it.  The longer one becomes the semi-major axis:
-        when ``second`` is longer the axes swap and the tilt turns by pi/2.
-        The tilt is reduced modulo pi.
-        """
+        """Semi-axis ``first`` along ``angle_rad``, ``second`` across it; the
+        longer comes first (a swap turns the tilt by pi/2), tilt mod pi."""
         if second > first:
             first, second, angle_rad = second, first, angle_rad + 0.5 * math.pi
         return cls(first, second, angle_rad % math.pi)

@@ -74,8 +74,7 @@ class GridSpec:
 
     Both axes carry the same number n of points, at least 64; they are
     endpoint-inclusive with spacing (max - min) / (n - 1), which must
-    exceed the float spacing (``math.ulp``) of the axis's largest extent
-    so that the points are distinct.
+    exceed ``math.ulp`` of the axis's largest extent.
     """
 
     x1_min: float
@@ -93,8 +92,7 @@ class GridSpec:
             if not dx > resolution:
                 raise ValueError(
                     f"grid axis {axis} in [{low:.17g}, {high:.17g}] has spacing {dx:.3g}, "
-                    f"not above the float spacing {resolution:.3g} there (n={self.n})"
-                )
+                    f"not above the float spacing {resolution:.3g} there (n={self.n})")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         return (

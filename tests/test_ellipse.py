@@ -295,11 +295,9 @@ class TestEllipseShape:
         with pytest.raises(ValueError, match="angle"):
             EllipseShape(2.0, 1.0, math.pi)
 
-    def test_from_axes_keeps_the_longer_axis_first(self):
+    def test_from_axes_puts_the_longer_axis_first(self):
         assert EllipseShape.from_axes(2.0, 0.5, 0.3) == EllipseShape(2.0, 0.5, 0.3)
         assert EllipseShape.from_axes(3.0, 3.0, 0.0) == EllipseShape(3.0, 3.0, 0.0)
-
-    def test_from_axes_swaps_and_turns(self):
         assert EllipseShape.from_axes(0.5, 2.0, 0.0) == EllipseShape(2.0, 0.5, 0.5 * math.pi)
         turned = EllipseShape.from_axes(0.5, 2.0, 0.75 * math.pi)
         assert turned.angle_rad == pytest.approx(0.25 * math.pi, rel=1e-15)
