@@ -24,7 +24,8 @@ def run_csv_rows(path):
     return meta, header, rows
 
 
-GOLDEN_CASES = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 NARROW_WARNING = (
     "warning: width ratio 1.5 is below 10; the wide-packet approximation degrades\n"
 )
@@ -44,6 +45,13 @@ class TestParser:
             "oracle-check Schmidt entropy of the sampled state vs the closed form",
         ):
             assert line in text
+
+    def test_help_matches_golden(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out == (GOLDEN / "help.txt").read_text()
 
     def test_golden_argv_parse_flag_by_flag(self):
         # Every mode takes every flag, before or after the mode, into the
