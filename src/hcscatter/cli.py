@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,15 +37,6 @@ EXIT_ORACLE = 4
 
 ORACLE_TOL_BITS = 1e-3
 
-# Each mode with the one-line description that --help prints.
-MODES = {
-    "single": "closed-form evaluation of one scenario",
-    "sweep-mu": "d, entropy and purity over a mu1 grid at fixed width ratio",
-    "ellipse": "outgoing-ellipse geometry with boundary points",
-    "transient": "entropy along a time grid from the image solution",
-    "oracle-check": "Schmidt entropy of the sampled state vs the closed form",
-}
-
 _DEFAULTS = {
     "sigma2_sq": 1.0,
     "ratio": 10.0,
@@ -53,12 +45,6 @@ _DEFAULTS = {
     "core_radius": 0.5,
     "grid_n": 512,
     "format": "csv",
-}
-# Per-mode values that override _DEFAULTS.
-_MODE_DEFAULTS = {
-    "sweep-mu": {"points": 99},
-    "ellipse": {"points": 64},
-    "transient": {"points": 25, "ratio": 4.0, "momentum": 4.0},
 }
 
 # Parameter pairs that select the same quantity two ways.  Keys on one
@@ -118,7 +104,7 @@ def _resolve(mode: str, flags: dict, file_values: dict) -> SweepConfig:
             if flags.keys() & side:
                 file_values = {k: v for k, v in file_values.items() if k not in other}
     explicit = set(file_values) | set(flags)
-    merged = {**_DEFAULTS, **_MODE_DEFAULTS.get(mode, {}), **file_values, **flags}
+    merged = {**_DEFAULTS, **MODES[mode].defaults, **file_values, **flags}
 
     for left, right in _ALTERNATIVES:
         for side in (left, right):
@@ -153,11 +139,9 @@ def _resolve(mode: str, flags: dict, file_values: dict) -> SweepConfig:
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
 
-    points = int(merged.get("points", 0))
-    if mode == "sweep-mu" and points < 2:
-        raise ValueError(f"sweep-mu needs at least 2 points, got {points}")
-    if mode in ("transient", "ellipse") and points < 1:
-        raise ValueError(f"{mode} needs at least 1 point, got {points}")
+    points, fewest = int(merged.get("points", 0)), MODES[mode].min_points
+    if fewest and points < fewest:
+        raise ValueError(f"{mode} needs at least {fewest} point{'s' * (fewest > 1)}, got {points}")
 
     params = ScatterParams(
         *masses,
@@ -321,12 +305,19 @@ def run_oracle_check(cfg: SweepConfig) -> dict:
     }
 
 
-_RUNNERS = {
-    "single": run_single,
-    "sweep-mu": run_sweep_mu,
-    "ellipse": run_ellipse,
-    "transient": run_transient,
-    "oracle-check": run_oracle_check,
+# One row per mode: its runner, the line --help prints, the fewest --points
+# it accepts (0 when it ignores them) and the values it overrides in _DEFAULTS.
+Mode = namedtuple("Mode", "run help min_points defaults")
+MODES = {
+    "single": Mode(run_single, "closed-form evaluation of one scenario", 0, {}),
+    "sweep-mu": Mode(run_sweep_mu, "d, entropy and purity over a mu1 grid at fixed width ratio",
+                     2, {"points": 99}),
+    "ellipse": Mode(run_ellipse, "outgoing-ellipse geometry with boundary points",
+                    1, {"points": 64}),
+    "transient": Mode(run_transient, "entropy along a time grid from the image solution",
+                      1, {"points": 25, "ratio": 4.0, "momentum": 4.0}),
+    "oracle-check": Mode(run_oracle_check,
+                         "Schmidt entropy of the sampled state vs the closed form", 0, {}),
 }
 
 
@@ -381,7 +372,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         prog="hcscatter",
         usage="%(prog)s [-h] mode [options]",
         description="Entanglement from 1D hard-core scattering of two Gaussian packets.\n\n"
-        "modes:\n" + "\n".join(f"  {mode:<14}{text}" for mode, text in MODES.items()),
+        "modes:\n" + "\n".join(f"  {name:<14}{mode.help}" for name, mode in MODES.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("mode", choices=MODES, metavar="mode", help="one of the modes above")
@@ -424,7 +415,7 @@ def main(argv=None) -> int:
     try:
         file_values = {} if args.config is None else parse_config_file(args.config, types)
         cfg = _resolve(args.mode, flags, file_values)
-        record = _RUNNERS[cfg.mode](cfg)
+        record = MODES[cfg.mode].run(cfg)
         _emit(record, cfg)
     except ValueError as exc:  # CoverageError included
         print(f"error: {exc}", file=sys.stderr)
