@@ -205,25 +205,6 @@ def _evolved_pair(params: ScatterParams, t: float) -> tuple[EvolvedPacket, Evolv
     )
 
 
-def _moments(params: ScatterParams, t: float):
-    """Analytic centers and density widths of f_t and g_t on both axes."""
-    e1, e2 = _evolved_pair(params, t)
-    mu = params.fractions
-    free_centers = (e1.center, e2.center)
-    free_stds = (e1.density_std, e2.density_std)
-    g1, g2 = _reflected_coordinates(
-        mu, params.core_radius, free_centers[0], free_centers[1]
-    )
-    # The reflection is a linear involution; it maps the density covariance
-    # diag(s1^2, s2^2) to T diag T^T with the same matrix T.
-    dm = mu.delta
-    refl_stds = (
-        math.hypot(dm * free_stds[0], 2.0 * mu.mu2 * free_stds[1]),
-        math.hypot(2.0 * mu.mu1 * free_stds[0], dm * free_stds[1]),
-    )
-    return free_centers, free_stds, (g1, g2), refl_stds
-
-
 def auto_grid(
     params: ScatterParams,
     t: float = 0.0,
@@ -235,13 +216,21 @@ def auto_grid(
     Covers ``COVERAGE`` density standard deviations around the centers of
     the freely evolving state, its reflected image, or the union of both.
     """
-    free_centers, free_stds, refl_centers, refl_stds = _moments(params, t)
-    boxes = []
-    if include in ("free", "both"):
-        boxes.append((free_centers, free_stds))
-    if include in ("reflected", "both"):
-        boxes.append((refl_centers, refl_stds))
-    if not boxes:
+    e1, e2 = _evolved_pair(params, t)
+    mu = params.fractions
+    free_centers = (e1.center, e2.center)
+    free_stds = (e1.density_std, e2.density_std)
+    refl_centers = _reflected_coordinates(mu, params.core_radius, *free_centers)
+    # The reflection is a linear involution; it maps the density covariance
+    # diag(s1^2, s2^2) to T diag T^T with the same matrix T.
+    dm = mu.delta
+    refl_stds = (
+        math.hypot(dm * free_stds[0], 2.0 * mu.mu2 * free_stds[1]),
+        math.hypot(2.0 * mu.mu1 * free_stds[0], dm * free_stds[1]),
+    )
+    free, reflected = (free_centers, free_stds), (refl_centers, refl_stds)
+    boxes = {"free": [free], "reflected": [reflected], "both": [free, reflected]}.get(include)
+    if boxes is None:
         raise ValueError(f"include must be 'free', 'reflected' or 'both', got {include!r}")
     lows = [min(c[i] - COVERAGE * s[i] for c, s in boxes) for i in (0, 1)]
     highs = [max(c[i] + COVERAGE * s[i] for c, s in boxes) for i in (0, 1)]
@@ -260,20 +249,21 @@ def _check_norm(wave: WaveGrid, label: str) -> WaveGrid:
     return wave
 
 
-def _free_amplitudes(e1: EvolvedPacket, e2: EvolvedPacket, x1, x2) -> np.ndarray:
+# The amplitude samplers: each maps the scenario, its two packets evolved
+# to t and the grid axes to the amplitude matrix over (x1, x2).
+def _free_amplitudes(params, e1, e2, x1, x2) -> np.ndarray:
     return np.outer(e1.amplitude(x1), e2.amplitude(x2))
 
 
-def _reflected_amplitudes(
-    e1: EvolvedPacket,
-    e2: EvolvedPacket,
-    mu: MassFractions,
-    core_radius: float,
-    x1,
-    x2,
-) -> np.ndarray:
-    r1, r2 = _reflected_coordinates(mu, core_radius, x1[:, None], x2[None, :])
+def _reflected_amplitudes(params, e1, e2, x1, x2) -> np.ndarray:
+    r1, r2 = _reflected_coordinates(params.fractions, params.core_radius, x1[:, None], x2[None, :])
     return e1.amplitude(r1) * e2.amplitude(r2)
+
+
+def _collision_amplitudes(params, e1, e2, x1, x2) -> np.ndarray:
+    outside = (x1[:, None] - x2[None, :]) > params.core_radius
+    free = _free_amplitudes(params, e1, e2, x1, x2)
+    return (free - _reflected_amplitudes(params, e1, e2, x1, x2)) * outside
 
 
 def _sample(
@@ -284,12 +274,12 @@ def _sample(
     label: str,
     amplitudes,
 ) -> WaveGrid:
-    """Sample ``amplitudes(e1, e2, x1, x2)`` of the packets evolved to t on
-    an auto grid covering ``include``, and check the norm."""
+    """Sample ``amplitudes`` of the packets evolved to t on an auto grid
+    covering ``include``, and check the norm."""
     grid = auto_grid(params, t, include, grid_n)
     x1, x2 = grid.axes()
     e1, e2 = _evolved_pair(params, t)
-    return _check_norm(WaveGrid(amplitudes(e1, e2, x1, x2), grid), label)
+    return _check_norm(WaveGrid(amplitudes(params, e1, e2, x1, x2), grid), label)
 
 
 def free_state(
@@ -299,8 +289,7 @@ def free_state(
     grid_n: int = 512,
 ) -> WaveGrid:
     """Sample the freely evolving product state f_t."""
-    return _sample(params, t, grid_n, "free", "the free product state",
-                   _free_amplitudes)
+    return _sample(params, t, grid_n, "free", "the free product state", _free_amplitudes)
 
 
 def reflected_state(
@@ -315,11 +304,7 @@ def reflected_state(
     Schmidt entropy is the asymptotic entanglement; at equal masses the
     two packets simply trade places.
     """
-    def amplitudes(e1, e2, x1, x2):
-        return _reflected_amplitudes(e1, e2, params.fractions, params.core_radius, x1, x2)
-
-    return _sample(params, t, grid_n, "reflected", "the reflected state",
-                   amplitudes)
+    return _sample(params, t, grid_n, "reflected", "the reflected state", _reflected_amplitudes)
 
 
 def collision_state(
@@ -334,14 +319,7 @@ def collision_state(
     zero (the wall point itself included).  The auto grid covers the
     supports of both f_t and g_t.
     """
-    def amplitudes(e1, e2, x1, x2):
-        outside = (x1[:, None] - x2[None, :]) > params.core_radius
-        return (
-            _free_amplitudes(e1, e2, x1, x2)
-            - _reflected_amplitudes(e1, e2, params.fractions, params.core_radius, x1, x2)
-        ) * outside
-
-    return _sample(params, t, grid_n, "both", "the collision state", amplitudes)
+    return _sample(params, t, grid_n, "both", "the collision state", _collision_amplitudes)
 
 
 def schmidt_entropy(wave: WaveGrid) -> float:

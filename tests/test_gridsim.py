@@ -126,11 +126,12 @@ class TestReflectedState:
         # of the mixed arguments.
         mu = MassFractions(0.3)
         s1, s2 = 4.0, 1.0
+        params = ScatterParams(mu.mu1, mu.mu2, s1, s2)
         e1 = free_evolve_packet(0.0, 0.0, s1, mu.mu1, 0.0)
         e2 = free_evolve_packet(0.0, 0.0, s2, mu.mu2, 0.0)
         x1 = np.linspace(-8.0, 8.0, 160)
         x2 = np.linspace(-6.0, 6.0, 150)
-        sampled = _reflected_amplitudes(e1, e2, mu, 0.0, x1, x2)
+        sampled = _reflected_amplitudes(params, e1, e2, x1, x2)
         dm = mu.delta
         arg1 = dm * x1[:, None] + 2.0 * mu.mu2 * x2[None, :]
         arg2 = 2.0 * mu.mu1 * x1[:, None] - dm * x2[None, :]
