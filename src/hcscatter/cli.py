@@ -1,8 +1,8 @@
 """Command-line front end.
 
-One parser: a positional argument picks one of the five ``MODES``,
-which ``--help`` lists with their descriptions, and every mode takes the
-same flags.
+One parser: a positional argument picks one of the five ``MODES``, each
+one row with its runner, ``--help`` line, fewest points and defaults,
+and every mode takes the same flags.
 
 Outputs are CSV (scalars in '#' header lines, 17 significant digits) or
 JSON; identical configurations produce byte-identical files, and
@@ -92,7 +92,10 @@ def parse_config_file(path: str, types: dict) -> dict:
             key = key.strip().replace("-", "_")
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
-            values[key] = types[key](value.strip())
+            try:
+                values[key] = types[key](value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -266,6 +269,9 @@ def run_transient(cfg: SweepConfig) -> dict:
     t_collision = (params.q1 + params.q2 - params.core_radius) * reduced_mass / params.momentum
     t_start = 0.0 if cfg.t_start is None else cfg.t_start
     t_stop = 2.5 * t_collision if cfg.t_stop is None else cfg.t_stop
+    if not math.isfinite(t_stop - t_start):
+        raise ValueError(f"time window [{t_start}, {t_stop}] is not finite "
+                         f"(estimated collision time {t_collision})")
     if not t_stop > t_start:
         raise ValueError("t_stop must exceed t_start")
     times = np.linspace(t_start, t_stop, cfg.points)
@@ -376,35 +382,33 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("mode", choices=MODES, metavar="mode", help="one of the modes above")
-    group = parser.add_argument_group("scenario")
-    group.add_argument("--mu1", type=float, help="mass fraction of particle 1")
-    group.add_argument("--mass1", type=float, help="raw mass of particle 1")
-    group.add_argument("--mass2", type=float, help="raw mass of particle 2")
-    group.add_argument("--sigma1-sq", type=float, dest="sigma1_sq",
-                       help="squared width of packet 1")
-    group.add_argument("--sigma2-sq", type=float, dest="sigma2_sq",
-                       help="squared width of packet 2 (default 1)")
-    group.add_argument("--ratio", type=float,
-                       help="width ratio sigma1/sigma2 (alternative to --sigma1-sq)")
-    group.add_argument("--core-radius", type=float, dest="core_radius",
-                       help="hard-core radius a")
-    group.add_argument("--momentum", type=float, help="approach momentum K")
-    group.add_argument("--q1", type=float, help="initial center of packet 1 (> a)")
-    group.add_argument("--q2", type=float, help="initial center distance of packet 2 (> a)")
+    scenario = parser.add_argument_group("scenario")
     numerics = parser.add_argument_group("numerics and output")
-    numerics.add_argument("--grid-n", type=int, dest="grid_n",
-                          help="grid points per axis (default 512)")
-    numerics.add_argument("--points", type=int,
-                          help="number of sweep/time/boundary points")
-    numerics.add_argument("--t-start", type=float, dest="t_start", help="first time point")
-    numerics.add_argument("--t-stop", type=float, dest="t_stop", help="last time point")
-    numerics.add_argument("--out", help="output path (default: stdout)")
-    numerics.add_argument("--format", choices=("csv", "json"), dest="format",
-                          help="output format (default csv)")
+    keyed = [
+        scenario.add_argument("--mu1", type=float, help="mass fraction of particle 1"),
+        scenario.add_argument("--mass1", type=float, help="raw mass of particle 1"),
+        scenario.add_argument("--mass2", type=float, help="raw mass of particle 2"),
+        scenario.add_argument("--sigma1-sq", type=float, help="squared width of packet 1"),
+        scenario.add_argument("--sigma2-sq", type=float,
+                              help="squared width of packet 2 (default 1)"),
+        scenario.add_argument("--ratio", type=float,
+                              help="width ratio sigma1/sigma2 (alternative to --sigma1-sq)"),
+        scenario.add_argument("--core-radius", type=float, help="hard-core radius a"),
+        scenario.add_argument("--momentum", type=float, help="approach momentum K"),
+        scenario.add_argument("--q1", type=float, help="initial center of packet 1 (> a)"),
+        scenario.add_argument("--q2", type=float,
+                              help="initial center distance of packet 2 (> a)"),
+        numerics.add_argument("--grid-n", type=int, help="grid points per axis (default 512)"),
+        numerics.add_argument("--points", type=int, help="number of sweep/time/boundary points"),
+        numerics.add_argument("--t-start", type=float, help="first time point"),
+        numerics.add_argument("--t-stop", type=float, help="last time point"),
+        numerics.add_argument("--out", help="output path (default: stdout)"),
+        numerics.add_argument("--format", choices=("csv", "json"),
+                              help="output format (default csv)"),
+    ]
     numerics.add_argument("--config", help="flat key=value configuration file; "
                                            "explicit flags win")
-    types = {action.dest: action.type or str for action in parser._actions
-             if action.dest not in ("help", "mode", "config")}
+    types = {action.dest: action.type or str for action in keyed}
     return parser, types
 
 

@@ -85,7 +85,7 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if self.n < _MIN_POINTS:
-            raise ValueError(f"need at least {_MIN_POINTS} points per axis")
+            raise ValueError(f"need at least {_MIN_POINTS} points per axis, got n={self.n}")
         for axis, low, high, dx in (("x1", self.x1_min, self.x1_max, self.dx1),
                                     ("x2", self.x2_min, self.x2_max, self.dx2)):
             resolution = math.ulp(max(abs(low), abs(high)))
@@ -237,14 +237,17 @@ def auto_grid(
     return GridSpec(lows[0], highs[0], lows[1], highs[1], n)
 
 
+def _extents(grid: GridSpec) -> str:
+    return (f"x1 in [{grid.x1_min:.3g}, {grid.x1_max:.3g}], "
+            f"x2 in [{grid.x2_min:.3g}, {grid.x2_max:.3g}], n={grid.n}")
+
+
 def _check_norm(wave: WaveGrid, label: str) -> WaveGrid:
     norm = wave.norm()
     if abs(norm - 1.0) > _NORM_BUDGET:
         raise CoverageError(
             f"grid norm of {label} is {norm:.6g} (deficit {1.0 - norm:+.3e}), "
-            f"outside the {_NORM_BUDGET:.0%} budget "
-            f"(x1 in [{wave.grid.x1_min:.3g}, {wave.grid.x1_max:.3g}], "
-            f"x2 in [{wave.grid.x2_min:.3g}, {wave.grid.x2_max:.3g}], n={wave.grid.n})"
+            f"outside the {_NORM_BUDGET:.0%} budget ({_extents(wave.grid)})"
         )
     return wave
 
@@ -275,11 +278,16 @@ def _sample(
     amplitudes,
 ) -> WaveGrid:
     """Sample ``amplitudes`` of the packets evolved to t on an auto grid
-    covering ``include``, and check the norm."""
+    covering ``include``, and check the norm.  A float overflow on the way
+    is a ValueError naming the state, t and the grid."""
     grid = auto_grid(params, t, include, grid_n)
     x1, x2 = grid.axes()
     e1, e2 = _evolved_pair(params, t)
-    return _check_norm(WaveGrid(amplitudes(params, e1, e2, x1, x2), grid), label)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _check_norm(WaveGrid(amplitudes(params, e1, e2, x1, x2), grid), label)
+    except FloatingPointError:
+        raise ValueError(f"sampling {label} at t={t:.6g} overflows on {_extents(grid)}") from None
 
 
 def free_state(

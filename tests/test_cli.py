@@ -313,6 +313,25 @@ class TestTransient:
         assert main(["transient", "--t-start", "2", "--t-stop", "1"]) == 2
         assert capsys.readouterr().err == "error: t_stop must exceed t_start\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transient", "--q1", "1e308", "--q2", "1e308"],
+            ["transient", "--core-radius", "1e308"],
+            ["transient", "--momentum", "1e-160"],
+            ["transient", "--q1", "1e200", "--q2", "1e200"],
+            ["transient", "--sigma1-sq", "1e307", "--sigma2-sq", "1e306"],
+            ["oracle-check", "--sigma1-sq", "1e307", "--sigma2-sq", "1e306"],
+        ],
+    )
+    def test_overflowing_window_or_sampling_is_a_validation_error(self, argv, capsys):
+        # An infinite collision time, or packets whose exponents overflow on
+        # the grid, end in one error line instead of numpy warnings.
+        assert main([*argv, "--grid-n", "64", "--points", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("mode", ["single", "sweep-mu", "ellipse"])
     def test_modes_without_times_ignore_the_window(self, mode, capsys):
         argv = [mode, "--ratio", "10", "--points", "3"]
@@ -463,6 +482,15 @@ class TestConfigFile:
         cfg.write_text("coverage = 6\n")
         assert main(["oracle-check", "--config", str(cfg)]) == 2
         assert "unknown configuration key 'coverage'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, mode, key", [("points = 2.5", "sweep-mu", "points"),
+                                                 ("grid_n = abc", "oracle-check", "grid_n")])
+    def test_bad_value_names_file_line_and_key(self, tmp_path, capsys, line, mode, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# scenario\n{line}\n")
+        assert main([mode, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:2: {key}: ") and err.count("\n") == 1
 
     def test_missing_config_file_is_io_error(self, capsys):
         assert main(["single", "--config", "/nonexistent/run.cfg"]) == 3

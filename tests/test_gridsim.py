@@ -48,7 +48,7 @@ class TestGridSpec:
         GridSpec(0.0, 1.0, 0.5, 0.5 + 2.0**-45, 64)
 
     def test_rejects_coarse_grid(self):
-        with pytest.raises(ValueError, match="64"):
+        with pytest.raises(ValueError, match="at least 64 points per axis, got n=63"):
             GridSpec(-1.0, 1.0, -1.0, 1.0, 63)
 
 
