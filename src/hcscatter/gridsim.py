@@ -297,7 +297,8 @@ def free_state(
     grid_n: int = 512,
 ) -> WaveGrid:
     """Sample the freely evolving product state f_t."""
-    return _sample(params, t, grid_n, "free", "the free product state", _free_amplitudes)
+    return _sample(params, t, grid_n, "free", "the free product state",
+                   _free_amplitudes)
 
 
 def reflected_state(
