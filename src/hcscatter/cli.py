@@ -130,13 +130,13 @@ def _resolve(mode: str, flags: dict, file_values: dict) -> SweepConfig:
             )
         sigma1_sq = ratio**2 * sigma2_sq
 
-    # Raw masses are normalized by ScatterParams; a bare mu1 enters as the
-    # pair (mu1, 1 - mu1).
+    # Raw masses are normalized by ScatterParams; a bare mu1 enters as its
+    # MassFractions, whose delta = 2 mu1 - 1 is rounded once.
     if "mass1" in explicit:
-        masses = merged["mass1"], merged["mass2"]
+        masses, fractions = (merged["mass1"], merged["mass2"]), None
     else:
-        mu = MassFractions(merged["mu1"])
-        masses = mu.mu1, mu.mu2
+        fractions = MassFractions(merged["mu1"])
+        masses = fractions.mu1, fractions.mu2
 
     fmt = merged["format"]
     if fmt not in ("csv", "json"):
@@ -154,6 +154,7 @@ def _resolve(mode: str, flags: dict, file_values: dict) -> SweepConfig:
         core_radius=merged["core_radius"],
         q1=merged.get("q1"),
         q2=merged.get("q2"),
+        fractions=fractions,
     )
     return SweepConfig(
         mode=mode,

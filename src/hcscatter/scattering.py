@@ -46,7 +46,10 @@ class ScatterParams:
     Masses are validated and normalized to unit total mass on
     construction by ``MassFractions.from_masses``; ``mass1``/``mass2``
     then hold the fractions, which are also kept as ``fractions`` (only
-    the fractions matter for the entanglement).  Times fed to the grid
+    the fractions matter for the entanglement).  A caller that already
+    holds the fractions passes them as ``fractions=mu`` with the masses
+    ``mu.mu1, mu.mu2``; they are kept as given, so ``delta`` is not formed
+    again from the rounded ``mu2``.  Times fed to the grid
     simulator are therefore measured in the matching unit.  Every number
     must be finite, the widths and their ratio normal floats, and the
     momentum at most 1e154.
@@ -65,10 +68,15 @@ class ScatterParams:
     core_radius: float = 0.0
     q1: float | None = None
     q2: float | None = None
-    fractions: MassFractions = field(init=False, repr=False, compare=False)
+    fractions: MassFractions | None = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        mu = MassFractions.from_masses(self.mass1, self.mass2)
+        mu = self.fractions
+        if mu is None:
+            mu = MassFractions.from_masses(self.mass1, self.mass2)
+        elif (self.mass1, self.mass2) != (mu.mu1, mu.mu2):
+            raise ValueError(f"masses {self.mass1}, {self.mass2} are not the given fractions "
+                             f"{mu.mu1}, {mu.mu2}")
         for name in ("sigma1_sq", "sigma2_sq", "momentum", "core_radius", "q1", "q2"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):

@@ -89,6 +89,16 @@ class TestSingle:
         assert record["entropy_bits"] == 0.0
         assert record["classification"] == "EqualMass"
 
+    def test_mu1_next_to_one_half_keeps_its_delta(self, capsys):
+        # mu1 = 1/2 - 2**-54 has delta = 2 mu1 - 1 = -2**-53 exactly; from
+        # the rounded pair (mu1, 1 - mu1) it came out as (mu1 - 1/2) / 1,
+        # half of that, and the entropy a quarter of the 400-digit value.
+        argv = ["single", "--mu1", "0.49999999999999994", "--sigma1-sq", "3",
+                "--sigma2-sq", "7", "--format", "json"]
+        assert main(argv) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["entropy_bits"] == pytest.approx(2.5787067665788715e-31, rel=1e-12)
+
     def test_reference_case_csv(self, tmp_path):
         out = tmp_path / "single.csv"
         assert main(["single", "--mu1", "0.25", "--ratio", "10", "--out", str(out)]) == 0

@@ -40,6 +40,14 @@ class TestScatterParams:
         assert (mu.mu1, mu.mu2) == (1.0 / 3.7, 2.7 / 3.7)
         assert mu.mu2 != 1.0 - mu.mu1
 
+    def test_given_fractions_are_kept(self):
+        mu = MassFractions(0.49999999999999994)
+        params = ScatterParams(mu.mu1, mu.mu2, 3.0, 7.0, fractions=mu)
+        assert params.fractions is mu and params.fractions.delta == -(2.0**-53)
+        assert ScatterParams(mu.mu1, mu.mu2, 3.0, 7.0).fractions.delta == -(2.0**-54)
+        with pytest.raises(ValueError, match="not the given fractions"):
+            ScatterParams(1.0, 3.0, 3.0, 7.0, fractions=MassFractions(0.25))
+
     def test_default_centers_clear_the_core(self):
         params = ScatterParams(1.0, 1.0, 9.0, 1.0, core_radius=0.5)
         assert params.q1 == pytest.approx(8.0 * 3.0 + 0.5)
