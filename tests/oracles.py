@@ -9,9 +9,9 @@ the library's ``d_minus_half`` is derived from them.  Both stay here in
 plain numpy so the library can be checked against them.  ``mu`` is
 anything with ``mu1`` and ``mu2`` attributes, such as ``MassFractions``.
 
-The grid oracle samples packets through ``EvolvedPacket.amplitude``; the
-bare t = 0 amplitude and the one-particle marginals below are what its
-tests compare against.
+The grid oracle samples packets through ``EvolvedPacket``; the textbook
+packet amplitude, a Schmidt entropy from one untrimmed SVD and the
+one-particle marginals below are what its tests compare against.
 """
 
 import math
@@ -119,13 +119,34 @@ def scattered_form_from_factors(mu, s1, s2):
     return mixing.T @ np.diag([1.0 / s1, 1.0 / s2]) @ mixing
 
 
-def packet_amplitude(center, momentum, width_sq, x):
+def packet_amplitude(center, momentum, width_sq, x, t=0.0, mass=1.0):
     """(pi s^2)^(-1/4) exp(i K x - (x - Q)^2 / (2 s^2)), the t = 0 packet
-    of center Q, momentum K and squared width s^2."""
+    of center Q, momentum K and squared width s^2; at t != 0 the textbook
+    free spreading of it with the given mass,
+
+        (s^2 / pi)^(1/4) / sqrt(w) exp(i K x - i K^2 t / (2 m) - (x - Q - K t / m)^2 / (2 w))
+
+    with w = s^2 + i t / m."""
     x = np.asarray(x, dtype=float)
-    return (math.pi * width_sq) ** -0.25 * np.exp(
-        1j * momentum * x - (x - center) ** 2 / (2.0 * width_sq)
+    if t == 0.0:
+        return (math.pi * width_sq) ** -0.25 * np.exp(
+            1j * momentum * x - (x - center) ** 2 / (2.0 * width_sq)
+        )
+    spread = complex(width_sq, t / mass)
+    drift = center + momentum * t / mass
+    return (width_sq / math.pi) ** 0.25 / np.sqrt(spread) * np.exp(
+        1j * (momentum * x - momentum**2 * t / (2.0 * mass))
+        - (x - drift) ** 2 / (2.0 * spread)
     )
+
+
+def full_svd_entropy(wave):
+    """Schmidt entropy in bits of a WaveGrid from one SVD of its whole
+    amplitude matrix, nothing trimmed, with the library's 1e-14 floor."""
+    weights = np.linalg.svd(wave.amplitudes, compute_uv=False) ** 2
+    weights = weights / weights.sum()
+    weights = weights[weights > 1e-14]
+    return max(0.0, float(-(weights * np.log2(weights)).sum()))
 
 
 def trapezoid(y, x):

@@ -9,6 +9,7 @@ from hcscatter.gridsim import (
     GridSpec,
     WaveGrid,
     _reflected_amplitudes,
+    _support,
     auto_grid,
     collision_state,
     free_evolve_packet,
@@ -18,14 +19,27 @@ from hcscatter.gridsim import (
     transient_curve,
 )
 from hcscatter.scattering import ScatterParams
-from oracles import marginal, packet_amplitude, trapezoid
+from oracles import full_svd_entropy, marginal, mixing_matrix, packet_amplitude, trapezoid
 
 REF_ENTROPY_BITS = 1.797380017291221  # mu1 = 1/4, width ratio 10
+
+
+# The transient mode's default scenario, and mass fractions 0.1:0.9 at
+# width ratio 10.
+TRANSIENT_SCENARIOS = [
+    ScatterParams(0.25, 0.75, 16.0, 1.0, momentum=4.0, core_radius=0.5),
+    ScatterParams(0.1, 0.9, 100.0, 1.0, momentum=4.0, core_radius=0.5),
+]
 
 
 @pytest.fixture
 def reference_params():
     return ScatterParams(0.25, 0.75, 100.0, 1.0, core_radius=0.5)
+
+
+def collision_time(params):
+    """The transient mode's estimated collision time."""
+    return (params.q1 + params.q2 - params.core_radius) * params.mass1 * params.mass2 / params.momentum
 
 
 class TestGridSpec:
@@ -142,6 +156,30 @@ class TestReflectedState:
         )
         assert np.max(np.abs(sampled - bare)) <= 1e-12
 
+    @pytest.mark.parametrize("state", [reflected_state, collision_state])
+    @pytest.mark.parametrize("t_over_tc", [0.0, 1.0])
+    def test_fused_sampler_matches_two_packet_factors(self, state, t_over_tc):
+        # One exp of the summed exponents per image sample, against the
+        # product of two separately evaluated textbook packets.
+        params = TRANSIENT_SCENARIOS[0]
+        t = t_over_tc * collision_time(params)
+        wave = state(params, t, grid_n=128)
+        x1, x2 = wave.grid.axes()
+        x1, x2 = x1[:, None], x2[None, :]
+        a, mu = params.core_radius, params.fractions
+        (l11, l12), (l21, l22) = mixing_matrix(mu)
+
+        def pair(y1, y2):
+            k = params.momentum
+            return (packet_amplitude(params.q1, -k, params.sigma1_sq, y1, t, params.mass1)
+                    * packet_amplitude(-params.q2, k, params.sigma2_sq, y2, t, params.mass2))
+
+        expected = pair(l11 * x1 + l12 * x2 + 2.0 * a * mu.mu2,
+                        l21 * x1 + l22 * x2 - 2.0 * a * mu.mu1)
+        if state is collision_state:
+            expected = (pair(x1, x2) - expected) * (x1 - x2 > a)
+        assert np.abs(wave.amplitudes - expected).max() <= 1e-12 * np.abs(expected).max()
+
     def test_insufficient_grid_raises_coverage_error(self):
         # At width ratio 100 the reflected state is a ridge narrower than
         # the 128-point spacing, so the Riemann sum misses its norm.
@@ -196,6 +234,22 @@ class TestSchmidtEntropy:
         psi = 0.5 * np.outer(phi, phi)
         with pytest.raises(CoverageError):
             schmidt_entropy(WaveGrid(psi, grid))
+
+    @pytest.mark.parametrize("params", TRANSIENT_SCENARIOS)
+    @pytest.mark.parametrize("t_over_tc", [0.0, 1.0, 2.5])
+    def test_support_trim_changes_no_entropy(self, params, t_over_tc):
+        wave = collision_state(params, t_over_tc * collision_time(params), grid_n=256)
+        assert abs(schmidt_entropy(wave) - full_svd_entropy(wave)) <= 1e-13
+
+    @pytest.mark.parametrize("params", TRANSIENT_SCENARIOS)
+    def test_support_trim_drops_the_empty_rows(self, params):
+        # Before contact the wall mask leaves most of the union box empty;
+        # the reflected state's own box fits and is passed on uncopied.
+        wave = collision_state(params, 0.0, grid_n=256)
+        kept = _support(wave.amplitudes)
+        assert kept.shape[0] < wave.grid.n and kept.shape[1] < wave.grid.n
+        reflected = reflected_state(params, grid_n=256).amplitudes
+        assert _support(reflected) is reflected
 
     def test_free_evolution_leaves_entropy_alone(self):
         params = ScatterParams(1.0, 3.0, 16.0, 1.0, momentum=4.0, core_radius=0.5)
