@@ -120,18 +120,14 @@ def scattered_form_from_factors(mu, s1, s2):
 
 
 def packet_amplitude(center, momentum, width_sq, x, t=0.0, mass=1.0):
-    """(pi s^2)^(-1/4) exp(i K x - (x - Q)^2 / (2 s^2)), the t = 0 packet
-    of center Q, momentum K and squared width s^2; at t != 0 the textbook
-    free spreading of it with the given mass,
+    """The packet (pi s^2)^(-1/4) exp(i K x - (x - Q)^2 / (2 s^2)) of center
+    Q, momentum K and squared width s^2 at t = 0, spread freely to t with
+    the given mass in the textbook form
 
         (s^2 / pi)^(1/4) / sqrt(w) exp(i K x - i K^2 t / (2 m) - (x - Q - K t / m)^2 / (2 w))
 
     with w = s^2 + i t / m."""
     x = np.asarray(x, dtype=float)
-    if t == 0.0:
-        return (math.pi * width_sq) ** -0.25 * np.exp(
-            1j * momentum * x - (x - center) ** 2 / (2.0 * width_sq)
-        )
     spread = complex(width_sq, t / mass)
     drift = center + momentum * t / mass
     return (width_sq / math.pi) ** 0.25 / np.sqrt(spread) * np.exp(
