@@ -70,7 +70,8 @@ def measure() -> dict:
         record["warm_call_s"][mode] = [_call(cli.main, mode) for _ in range(WARM_CALLS)]
 
     params = cli._resolve("transient", {}, {}).params
-    t_c = (params.q1 + params.q2 - params.core_radius) * params.mass1 * params.mass2 / params.momentum
+    separation = params.q1 + params.q2 - params.core_radius
+    t_c = separation * params.mass1 * params.mass2 / params.momentum
     grid = gridsim.auto_grid(params, t_c, "both", 512)
     x1, x2 = grid.axes()
     e1, e2 = gridsim._evolved_pair(params, t_c)

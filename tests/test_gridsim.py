@@ -39,7 +39,8 @@ def reference_params():
 
 def collision_time(params):
     """The transient mode's estimated collision time."""
-    return (params.q1 + params.q2 - params.core_radius) * params.mass1 * params.mass2 / params.momentum
+    separation = params.q1 + params.q2 - params.core_radius
+    return separation * params.mass1 * params.mass2 / params.momentum
 
 
 class TestGridSpec:
