@@ -20,9 +20,22 @@ Schmidt entropy of the reflected state at t = 0 already equals the
 asymptotic value; evolving psi_t through the collision exposes the
 transient entanglement on top of it.
 
-Each reflected sample is one complex exp: g_t is a product of two packet
-amplitudes at mixed arguments, so their exponents are summed before the
-exp (``EvolvedPacket.prefactor`` and ``exponent``).  Before the SVD,
+The image is sampled as its Gaussian envelope with the plane wave split
+off.  Write r(x) = T x + b for the reflection, c = r(Q) for the image of
+the packet centers Q and w_i = s_i^2 + i t / m_i for the evolved widths.
+Then, with v = T (x - c) = r(x) - Q,
+
+    g_t(x) = P exp(i (phi1 + phi2)) exp(i K (x1 - x2 - 2a))
+             * exp(-v1^2 / (2 w1) - v2^2 / (2 w2)),
+
+P the product of the two packets' prefactors and phi_i their global
+phases.  The plane wave is a function of x1 times a function of x2, a
+local unitary that leaves the Schmidt spectrum alone, so
+``reflected_state`` returns the envelope only; ``collision_state``
+multiplies the plane wave back in before subtracting g_t from f_t.  The
+envelope is formed from grid-relative offsets x - c, so no number of the
+size of |x| enters its exponent, and at t = 0, where both w_i are real,
+it is a real float64 matrix and its SVD runs real.  Before the SVD,
 ``schmidt_entropy`` drops the rows and columns holding at most 1e-32 of
 the mass (``_SUPPORT_FLOOR``); losing a mass fraction delta moves each
 Schmidt weight w by at most 2 sqrt(w delta) + delta, below the 1e-14
@@ -127,13 +140,16 @@ class GridSpec:
 @dataclass(frozen=True)
 class WaveGrid:
     """A two-particle amplitude sampled on a grid; amplitudes[i, j] is the
-    value at (x1_i, x2_j)."""
+    value at (x1_i, x2_j).  Float64 amplitudes stay real; any other input
+    is stored as complex128."""
 
     amplitudes: np.ndarray
     grid: GridSpec
 
     def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        amp = np.asarray(self.amplitudes)
+        if amp.dtype != np.float64:
+            amp = amp.astype(complex, copy=False)
         if amp.shape != (self.grid.n, self.grid.n):
             raise ValueError(f"amplitudes shape {amp.shape} does not match grid n={self.grid.n}")
         if not np.isfinite(amp.view(float)).all():
@@ -172,14 +188,11 @@ class EvolvedPacket:
         """pi^(-1/4) (Re s^2)^(1/4) / sqrt(s^2), which is (pi s^2)^(-1/4) at t = 0."""
         return math.pi ** -0.25 * self.width_sq.real ** 0.25 / cmath.sqrt(self.width_sq)
 
-    def exponent(self, x) -> np.ndarray:
-        """The complex exponent at x: i (K x + phase) - (x - Q)^2 / (2 s^2)."""
-        x = np.asarray(x, dtype=float)
-        return (1j * (self.momentum * x + self.phase)
-                - (x - self.center) ** 2 / (2.0 * self.width_sq))
-
     def amplitude(self, x) -> np.ndarray:
-        return self.prefactor * np.exp(self.exponent(x))
+        """prefactor * exp(i (K x + phase) - (x - Q)^2 / (2 s^2))."""
+        x = np.asarray(x, dtype=float)
+        return self.prefactor * np.exp(1j * (self.momentum * x + self.phase)
+                                       - (x - self.center) ** 2 / (2.0 * self.width_sq))
 
     @property
     def density_std(self) -> float:
@@ -277,15 +290,35 @@ def _free_amplitudes(params, e1, e2, x1, x2) -> np.ndarray:
     return np.outer(e1.amplitude(x1), e2.amplitude(x2))
 
 
-def _reflected_amplitudes(params, e1, e2, x1, x2) -> np.ndarray:
-    r1, r2 = _reflected_coordinates(params.fractions, params.core_radius, x1[:, None], x2[None, :])
-    return e1.prefactor * e2.prefactor * np.exp(e1.exponent(r1) + e2.exponent(r2))
+def _real_if_real(z: complex) -> complex | float:
+    """A complex scalar with no imaginary part as a float, so that samples
+    built from real widths stay float64."""
+    return z.real if z.imag == 0.0 else z
+
+
+def _image_envelope(params, e1, e2, x1, x2) -> np.ndarray:
+    """g_t without its plane wave: P exp(-v1^2 / (2 w1) - v2^2 / (2 w2))
+    with v = T (x - c), formed from the offsets u = x - c."""
+    mu = params.fractions
+    dm = mu.delta
+    c1, c2 = _reflected_coordinates(mu, params.core_radius, e1.center, e2.center)
+    u1, u2 = x1 - c1, x2 - c2
+    v1 = (dm * u1)[:, None] + (2.0 * mu.mu2 * u2)[None, :]
+    v2 = (2.0 * mu.mu1 * u1)[:, None] - (dm * u2)[None, :]
+    exponent = (_real_if_real(-0.5 / e1.width_sq) * (v1 * v1)
+                + _real_if_real(-0.5 / e2.width_sq) * (v2 * v2))
+    return _real_if_real(e1.prefactor * e2.prefactor) * np.exp(exponent)
 
 
 def _collision_amplitudes(params, e1, e2, x1, x2) -> np.ndarray:
+    # The plane wave of g_t, exp(i (phi1 + phi2)) exp(i K (x1 - x2 - 2a)),
+    # split into a factor for each axis.
+    k, a = params.momentum, params.core_radius
+    wave1 = np.exp(1j * (k * (x1 - a) + e1.phase))
+    wave2 = np.exp(1j * (e2.phase - k * (x2 + a)))
+    image = _image_envelope(params, e1, e2, x1, x2) * np.outer(wave1, wave2)
     outside = (x1[:, None] - x2[None, :]) > params.core_radius
-    free = _free_amplitudes(params, e1, e2, x1, x2)
-    return (free - _reflected_amplitudes(params, e1, e2, x1, x2)) * outside
+    return (_free_amplitudes(params, e1, e2, x1, x2) - image) * outside
 
 
 def _sample(
@@ -326,13 +359,15 @@ def reflected_state(
     *,
     grid_n: int = 512,
 ) -> WaveGrid:
-    """Sample the reflected image g_t of the free product state.
+    """Sample the reflected image g_t of the free product state, up to
+    the separable plane wave (same |g_t|, same Schmidt spectrum).
 
-    At t = 0 this is the full outgoing state up to free evolution, so its
-    Schmidt entropy is the asymptotic entanglement; at equal masses the
-    two packets simply trade places.
+    At t = 0 this is the full outgoing state up to free evolution and a
+    local phase, so its Schmidt entropy is the asymptotic entanglement;
+    the sampled envelope is then real.  At equal masses the two packets
+    simply trade places.
     """
-    return _sample(params, t, grid_n, "reflected", "the reflected state", _reflected_amplitudes)
+    return _sample(params, t, grid_n, "reflected", "the reflected state", _image_envelope)
 
 
 def collision_state(

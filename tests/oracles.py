@@ -10,8 +10,9 @@ plain numpy so the library can be checked against them.  ``mu`` is
 anything with ``mu1`` and ``mu2`` attributes, such as ``MassFractions``.
 
 The grid oracle samples packets through ``EvolvedPacket``; the textbook
-packet amplitude, a Schmidt entropy from one untrimmed SVD and the
-one-particle marginals below are what its tests compare against.
+packet amplitude, the plane wave split off the mirror image, Schmidt
+weights and entropy from one untrimmed SVD and the one-particle marginals
+below are what its tests compare against.
 """
 
 import math
@@ -136,11 +137,26 @@ def packet_amplitude(center, momentum, width_sq, x, t=0.0, mass=1.0):
     )
 
 
+def image_plane_wave(params, t, x1, x2):
+    """The plane wave the library splits off the mirror image g_t,
+    exp(i K (x1 - x2 - 2a) - i K^2 t / (2 m1) - i K^2 t / (2 m2)), on the
+    grid x1[:, None], x2[None, :]."""
+    k, a = params.momentum, params.core_radius
+    phase = -(k**2) * t / (2.0 * params.mass1) - k**2 * t / (2.0 * params.mass2)
+    return np.exp(1j * (k * (x1[:, None] - x2[None, :] - 2.0 * a) + phase))
+
+
+def schmidt_weights(amplitudes):
+    """Schmidt weights of a sampled state from one SVD of the whole
+    matrix, nothing trimmed, normalized to unit sum, largest first."""
+    weights = np.linalg.svd(amplitudes, compute_uv=False) ** 2
+    return weights / weights.sum()
+
+
 def full_svd_entropy(wave):
     """Schmidt entropy in bits of a WaveGrid from one SVD of its whole
     amplitude matrix, nothing trimmed, with the library's 1e-14 floor."""
-    weights = np.linalg.svd(wave.amplitudes, compute_uv=False) ** 2
-    weights = weights / weights.sum()
+    weights = schmidt_weights(wave.amplitudes)
     weights = weights[weights > 1e-14]
     return max(0.0, float(-(weights * np.log2(weights)).sum()))
 

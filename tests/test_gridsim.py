@@ -8,7 +8,7 @@ from hcscatter.gridsim import (
     CoverageError,
     GridSpec,
     WaveGrid,
-    _reflected_amplitudes,
+    _image_envelope,
     _support,
     auto_grid,
     collision_state,
@@ -19,7 +19,15 @@ from hcscatter.gridsim import (
     transient_curve,
 )
 from hcscatter.scattering import ScatterParams
-from oracles import full_svd_entropy, marginal, mixing_matrix, packet_amplitude, trapezoid
+from oracles import (
+    full_svd_entropy,
+    image_plane_wave,
+    marginal,
+    mixing_matrix,
+    packet_amplitude,
+    schmidt_weights,
+    trapezoid,
+)
 
 REF_ENTROPY_BITS = 1.797380017291221  # mu1 = 1/4, width ratio 10
 
@@ -41,6 +49,18 @@ def collision_time(params):
     """The transient mode's estimated collision time."""
     separation = params.q1 + params.q2 - params.core_radius
     return separation * params.mass1 * params.mass2 / params.momentum
+
+
+def textbook_image(params, t, x1, x2):
+    """The mirror image g_t on the grid x1[:, None], x2[None, :]: two
+    textbook packets at the reflected arguments, plane wave included."""
+    x1, x2 = x1[:, None], x2[None, :]
+    a, mu, k = params.core_radius, params.fractions, params.momentum
+    (l11, l12), (l21, l22) = mixing_matrix(mu)
+    return (packet_amplitude(params.q1, -k, params.sigma1_sq,
+                             l11 * x1 + l12 * x2 + 2.0 * a * mu.mu2, t, params.mass1)
+            * packet_amplitude(-params.q2, k, params.sigma2_sq,
+                               l21 * x1 + l22 * x2 - 2.0 * a * mu.mu1, t, params.mass2))
 
 
 class TestGridSpec:
@@ -126,6 +146,7 @@ class TestReflectedState:
     def test_equal_masses_swap_arguments_exactly(self):
         # Contact core (a = 0) and equal masses: the reflected state is the
         # original product with the particle arguments exchanged.
+        # The sampled envelope times the split-off plane wave is that product.
         params = ScatterParams(1.0, 1.0, 4.0, 1.0, momentum=2.0, core_radius=0.0)
         wave = reflected_state(params, grid_n=128)
         x1, x2 = wave.grid.axes()
@@ -133,12 +154,13 @@ class TestReflectedState:
             packet_amplitude(-params.q2, params.momentum, params.sigma2_sq, x1),
             packet_amplitude(params.q1, -params.momentum, params.sigma1_sq, x2),
         )
-        assert np.max(np.abs(wave.amplitudes - swapped)) <= 1e-12
+        image = wave.amplitudes * image_plane_wave(params, 0.0, x1, x2)
+        assert np.max(np.abs(image - swapped)) <= 1e-12
 
     def test_phase_stripped_reduction(self):
-        # With zero momentum, zero centers and a contact core, the sampled
-        # reflected amplitudes reduce pointwise to the bare quadratic form
-        # of the mixed arguments.
+        # With zero momentum, zero centers and a contact core the plane wave
+        # is 1, and the sampled envelope reduces pointwise to the bare
+        # quadratic form of the mixed arguments.
         mu = MassFractions(0.3)
         s1, s2 = 4.0, 1.0
         params = ScatterParams(mu.mu1, mu.mu2, s1, s2)
@@ -146,7 +168,7 @@ class TestReflectedState:
         e2 = free_evolve_packet(0.0, 0.0, s2, mu.mu2, 0.0)
         x1 = np.linspace(-8.0, 8.0, 160)
         x2 = np.linspace(-6.0, 6.0, 150)
-        sampled = _reflected_amplitudes(params, e1, e2, x1, x2)
+        sampled = _image_envelope(params, e1, e2, x1, x2)
         dm = mu.delta
         arg1 = dm * x1[:, None] + 2.0 * mu.mu2 * x2[None, :]
         arg2 = 2.0 * mu.mu1 * x1[:, None] - dm * x2[None, :]
@@ -160,26 +182,46 @@ class TestReflectedState:
     @pytest.mark.parametrize("state", [reflected_state, collision_state])
     @pytest.mark.parametrize("t_over_tc", [0.0, 1.0])
     def test_fused_sampler_matches_two_packet_factors(self, state, t_over_tc):
-        # One exp of the summed exponents per image sample, against the
-        # product of two separately evaluated textbook packets.
+        # The image as one envelope exp times the split-off plane wave,
+        # against the product of two separately evaluated textbook packets.
         params = TRANSIENT_SCENARIOS[0]
         t = t_over_tc * collision_time(params)
         wave = state(params, t, grid_n=128)
         x1, x2 = wave.grid.axes()
-        x1, x2 = x1[:, None], x2[None, :]
-        a, mu = params.core_radius, params.fractions
-        (l11, l12), (l21, l22) = mixing_matrix(mu)
-
-        def pair(y1, y2):
-            k = params.momentum
-            return (packet_amplitude(params.q1, -k, params.sigma1_sq, y1, t, params.mass1)
-                    * packet_amplitude(-params.q2, k, params.sigma2_sq, y2, t, params.mass2))
-
-        expected = pair(l11 * x1 + l12 * x2 + 2.0 * a * mu.mu2,
-                        l21 * x1 + l22 * x2 - 2.0 * a * mu.mu1)
+        expected = textbook_image(params, t, x1, x2)
+        sampled = wave.amplitudes
         if state is collision_state:
-            expected = (pair(x1, x2) - expected) * (x1 - x2 > a)
-        assert np.abs(wave.amplitudes - expected).max() <= 1e-12 * np.abs(expected).max()
+            free = np.outer(
+                packet_amplitude(params.q1, -params.momentum, params.sigma1_sq, x1, t, params.mass1),
+                packet_amplitude(-params.q2, params.momentum, params.sigma2_sq, x2, t, params.mass2))
+            expected = (free - expected) * (x1[:, None] - x2[None, :] > params.core_radius)
+        else:
+            sampled = sampled * image_plane_wave(params, t, x1, x2)
+        assert np.abs(sampled - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_time_zero_envelope_is_real(self, reference_params):
+        # Both evolved widths are real at t = 0, so oracle-check's matrix
+        # and its SVD are real.
+        assert reflected_state(reference_params, grid_n=128).amplitudes.dtype == np.float64
+        assert reflected_state(reference_params, 1.0, grid_n=128).amplitudes.dtype == complex
+
+    @pytest.mark.parametrize("params", [*TRANSIENT_SCENARIOS,
+                                        ScatterParams(0.25, 0.75, 100.0, 1.0, core_radius=0.5)])
+    def test_envelope_keeps_the_spectrum_of_the_complex_image(self, params):
+        # The split-off plane wave is a local unitary: the real envelope has
+        # the Schmidt spectrum of the complex textbook g_0 on the same grid.
+        wave = reflected_state(params, grid_n=256)
+        x1, x2 = wave.grid.axes()
+        image = WaveGrid(textbook_image(params, 0.0, x1, x2), wave.grid)
+        assert np.abs(schmidt_weights(wave.amplitudes) - schmidt_weights(image.amplitudes)).max() <= 1e-12
+        assert abs(schmidt_entropy(wave) - full_svd_entropy(image)) <= 1e-13
+
+    def test_large_widths_keep_the_asymptotic_entropy(self):
+        # The grid sits near |x| = 1e16, where ulp(x) = 2: a phase K x
+        # would keep no correct digit, the grid-relative envelope keeps all.
+        params = ScatterParams(0.25, 0.75, 1e30, 1e29, core_radius=0.5)
+        target = entropy_from_d_minus_half(d_minus_half(params.fractions, 1e30, 1e29))
+        assert abs(schmidt_entropy(reflected_state(params)) - target) <= 1e-3
 
     def test_insufficient_grid_raises_coverage_error(self):
         # At width ratio 100 the reflected state is a ridge narrower than
