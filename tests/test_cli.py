@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hcscatter
 from hcscatter.cli import _build_parser, main
 
 
@@ -388,6 +392,20 @@ class TestOracleCheck:
         assert record["schmidt_entropy_bits"] <= 1e-3
         assert record["passed"] is True
 
+    def test_svd_input_is_real(self, monkeypatch, capsys):
+        # The reflected state at t = 0 is sampled without its separable
+        # plane wave, so LAPACK gets a float64 matrix.
+        dtypes = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            dtypes.append(a.dtype)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        assert main(["oracle-check", "--grid-n", "128"]) == 0
+        assert dtypes == [np.float64]
+
     def test_starved_grid_is_a_coverage_error(self, capsys):
         # At width ratio 100 the reflected state is a ridge narrower than
         # the 64-point spacing, so the grid norm misses 1 by far.
@@ -397,7 +415,7 @@ class TestOracleCheck:
         assert "deficit" in err and "outside the 1% budget" in err
 
     def test_coverage_error_keeps_a_huge_norm_short(self, capsys):
-        # The grid norm here is about 1e148; spelled out with a fixed
+        # The grid norm here is about 1e147; spelled out with a fixed
         # number of decimals it took 300 digits.
         argv = ["oracle-check", "--sigma1-sq", "1e300", "--sigma2-sq", "1", "--grid-n", "64"]
         assert main(argv) == 2
@@ -504,6 +522,19 @@ class TestConfigFile:
 
     def test_missing_config_file_is_io_error(self, capsys):
         assert main(["single", "--config", "/nonexistent/run.cfg"]) == 3
+
+
+class TestModuleEntry:
+    def test_python_m_runs_the_cli(self):
+        src = str(Path(hcscatter.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+        done = subprocess.run(
+            [sys.executable, "-m", "hcscatter", *GOLDEN_CASES["single_mu1_csv"]["argv"]],
+            env=env, capture_output=True, text=True, check=False)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == (GOLDEN / "single_mu1_csv.txt").read_text()
+        assert done.stderr == ""
 
 
 class TestOutputErrors:
