@@ -16,7 +16,11 @@ stamp of ``perfbench/run.py``.  Per side it records
 * the split of the default ``transient`` time point at the estimated
   collision time t_c (n = 512) into sampling, norm check and Schmidt
   entropy, and the shape of the matrix the SVD gets at t = 0, t_c and
-  2.5 t_c.
+  2.5 t_c;
+* the same split of the default ``oracle-check`` state at n = 1024, taken
+  through the public ``reflected_state`` (its sampling time includes the
+  sampler's own norm check) and ``schmidt_entropy``, and the dtype of the
+  matrix the SVD gets.
 
 Times are medians over all samples; the samples are kept too.
 """
@@ -38,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MODES = ("oracle-check", "transient")
 WARM_CALLS = 3
 SPLIT_REPEATS = 5
+ORACLE_N = 1024
 CLI = "import sys; from hcscatter.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -87,6 +92,15 @@ def measure() -> dict:
         label: list(support(gridsim.collision_state(params, factor * t_c).amplitudes).shape)
         for label, factor in (("t=0", 0.0), ("t_c", 1.0), ("2.5 t_c", 2.5))
     }
+
+    params = cli._resolve("oracle-check", {}, {}).params
+    sampling, wave = _median_of(
+        lambda: gridsim.reflected_state(params, grid_n=ORACLE_N), SPLIT_REPEATS)
+    norm, _ = _median_of(wave.norm, SPLIT_REPEATS)
+    schmidt, _ = _median_of(lambda: gridsim.schmidt_entropy(wave), SPLIT_REPEATS)
+    record["oracle_split_n1024_s"] = {"sampling": sampling, "norm": norm, "schmidt": schmidt}
+    # schmidt_entropy hands the SVD the amplitudes or a subset of them.
+    record["oracle_svd_dtype"] = str(wave.amplitudes.dtype)
     return record
 
 
@@ -107,7 +121,8 @@ def _run_side(src: Path) -> dict:
 def _merge(records: list) -> dict:
     """Medians over the rounds, with every sample kept."""
     out = {}
-    for key in ("process_s", "first_call_s", "warm_call_s", "split_n512_tc_s"):
+    for key in ("process_s", "first_call_s", "warm_call_s", "split_n512_tc_s",
+                "oracle_split_n1024_s"):
         out[key] = {}
         for name in records[0][key]:
             samples = []
@@ -116,6 +131,7 @@ def _merge(records: list) -> dict:
                 samples.extend(value if isinstance(value, list) else [value])
             out[key][name] = {"median": statistics.median(samples), "samples": samples}
     out["svd_shape_n512"] = records[0]["svd_shape_n512"]
+    out["oracle_svd_dtype"] = records[0]["oracle_svd_dtype"]
     return out
 
 
