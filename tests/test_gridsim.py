@@ -51,16 +51,21 @@ def collision_time(params):
     return separation * params.mass1 * params.mass2 / params.momentum
 
 
+def packet_pair(params, t, y1, y2):
+    """The scenario's two textbook packets at t, evaluated at (y1, y2)."""
+    k = params.momentum
+    return (packet_amplitude(params.q1, -k, params.sigma1_sq, y1, t, params.mass1)
+            * packet_amplitude(-params.q2, k, params.sigma2_sq, y2, t, params.mass2))
+
+
 def textbook_image(params, t, x1, x2):
-    """The mirror image g_t on the grid x1[:, None], x2[None, :]: two
-    textbook packets at the reflected arguments, plane wave included."""
+    """The mirror image g_t on the grid x1[:, None], x2[None, :]: the two
+    packets at the reflected arguments, plane wave included."""
     x1, x2 = x1[:, None], x2[None, :]
-    a, mu, k = params.core_radius, params.fractions, params.momentum
+    a, mu = params.core_radius, params.fractions
     (l11, l12), (l21, l22) = mixing_matrix(mu)
-    return (packet_amplitude(params.q1, -k, params.sigma1_sq,
-                             l11 * x1 + l12 * x2 + 2.0 * a * mu.mu2, t, params.mass1)
-            * packet_amplitude(-params.q2, k, params.sigma2_sq,
-                               l21 * x1 + l22 * x2 - 2.0 * a * mu.mu1, t, params.mass2))
+    return packet_pair(params, t, l11 * x1 + l12 * x2 + 2.0 * a * mu.mu2,
+                       l21 * x1 + l22 * x2 - 2.0 * a * mu.mu1)
 
 
 class TestGridSpec:
@@ -144,9 +149,9 @@ class TestReflectedState:
         assert wave.norm() == pytest.approx(1.0, abs=0.01)
 
     def test_equal_masses_swap_arguments_exactly(self):
-        # Contact core (a = 0) and equal masses: the reflected state is the
-        # original product with the particle arguments exchanged.
-        # The sampled envelope times the split-off plane wave is that product.
+        # Contact core (a = 0) and equal masses: the sampled envelope times
+        # the split-off plane wave is the original product with the
+        # particle arguments exchanged.
         params = ScatterParams(1.0, 1.0, 4.0, 1.0, momentum=2.0, core_radius=0.0)
         wave = reflected_state(params, grid_n=128)
         x1, x2 = wave.grid.axes()
@@ -191,10 +196,8 @@ class TestReflectedState:
         expected = textbook_image(params, t, x1, x2)
         sampled = wave.amplitudes
         if state is collision_state:
-            free = np.outer(
-                packet_amplitude(params.q1, -params.momentum, params.sigma1_sq, x1, t, params.mass1),
-                packet_amplitude(-params.q2, params.momentum, params.sigma2_sq, x2, t, params.mass2))
-            expected = (free - expected) * (x1[:, None] - x2[None, :] > params.core_radius)
+            x1, x2 = x1[:, None], x2[None, :]
+            expected = (packet_pair(params, t, x1, x2) - expected) * (x1 - x2 > params.core_radius)
         else:
             sampled = sampled * image_plane_wave(params, t, x1, x2)
         assert np.abs(sampled - expected).max() <= 1e-12 * np.abs(expected).max()
