@@ -1,4 +1,4 @@
-"""Before/after wall times of the grid modes, and the split of one time point.
+"""Before/after wall times of every CLI mode, and the split of one time point.
 
 Usage (from the repository root):
 
@@ -9,9 +9,10 @@ measures the ``src`` of this checkout ("after") and of OTHER_CHECKOUT
 ``--rounds`` rounds, and writes one JSON record with the environment
 stamp of ``perfbench/run.py``.  Per side it records
 
-* the process wall time of ``hcscatter transient`` and ``hcscatter
-  oracle-check`` at their defaults, import included;
-* the same two calls made in-process: the first call of a process apart
+* the process wall time of each mode (``single``, ``ellipse``,
+  ``sweep-mu``, ``oracle-check`` and ``transient``) at its defaults,
+  import included;
+* the same calls made in-process: the first call of a process apart
   from the warm calls after it;
 * the split of the default ``transient`` time point at the estimated
   collision time t_c (n = 512) into sampling, norm check and Schmidt
@@ -39,7 +40,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODES = ("oracle-check", "transient")
+MODES = ("single", "ellipse", "sweep-mu", "oracle-check", "transient")
 WARM_CALLS = 3
 SPLIT_REPEATS = 5
 ORACLE_N = 1024

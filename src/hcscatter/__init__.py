@@ -1,12 +1,8 @@
 """Entanglement generated by 1D scattering of two Gaussian wave packets
-off hard-core repulsion.
-
-Closed-form covariance route, wave-function geometry, and an
-independent grid/Schmidt-decomposition cross-check, plus a CLI for
-reproducible parameter sweeps.  Import names from their modules, for
-example ``from hcscatter.covariance import MassFractions``.
+off hard-core repulsion: a closed-form covariance route, the wave-function
+geometry, a grid/Schmidt cross-check (``gridsim``, the one module that
+imports numpy) and a CLI.  Importing the package loads none of its modules;
+import names from them, e.g. ``from hcscatter.covariance import MassFractions``.
 """
-
-from . import covariance, ellipse, gridsim, scattering
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ Outputs are CSV (scalars in '#' header lines, 17 significant digits) or
 JSON; identical configurations produce byte-identical files, and
 each warning goes to stderr as one 'warning: ...' line.  Exit codes:
 0 success, 2 validation error, 3 I/O error, 4 oracle-check failure.
+Only the grid modes import ``gridsim`` (and numpy), when they run.
 """
 
 from __future__ import annotations
@@ -19,11 +20,8 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
-import numpy as np
-
 from .covariance import MassFractions, d_minus_half, entropy_from_d_minus_half, purity_from_d
 from .ellipse import EllipseShape, approx_final_ellipse, scattered_ellipse
-from .gridsim import COVERAGE, reflected_state, schmidt_entropy, transient_curve
 from .scattering import ScatterParams, d_asymptotic, is_zero_entanglement
 
 __all__ = ["SweepConfig", "main", "entrypoint",
@@ -80,22 +78,26 @@ def parse_config_file(path: str, types: dict) -> dict:
 
     ``types`` maps each known key to the type its command-line flag takes.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in types:
-                raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
-            try:
-                values[key] = types[key](value.strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in types:
+            raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
+        try:
+            values[key] = types[key](value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -129,6 +131,8 @@ def _resolve(mode: str, flags: dict, file_values: dict) -> SweepConfig:
                 f"width ratio must be finite, positive and at most {_MAX_RATIO:g}, got {ratio}"
             )
         sigma1_sq = ratio**2 * sigma2_sq
+        if sigma1_sq == 0.0 < sigma2_sq:
+            raise ValueError(f"width ratio {ratio} is too small: ratio**2 * sigma2_sq underflows")
 
     # Raw masses are normalized by ScatterParams; a bare mu1 enters as its
     # MassFractions, whose delta = 2 mu1 - 1 is rounded once.
@@ -168,6 +172,16 @@ def _resolve(mode: str, flags: dict, file_values: dict) -> SweepConfig:
     )
 
 
+def _linspace(start: float, stop: float, count: int) -> list[float]:
+    """``count`` evenly spaced points from start to stop, bit for bit
+    ``np.linspace(start, stop, count).tolist()``.  numpy divides instead
+    where the step underflows to 0; those times repeat and are rejected."""
+    if count < 2:
+        return [start][:count]
+    step = (stop - start) / (count - 1)
+    return [start + k * step for k in range(count - 1)] + [stop]
+
+
 def _entanglement(mu: MassFractions, sigma1_sq: float, sigma2_sq: float):
     """Closed-form d with its entropy (bits) and purity."""
     e = d_minus_half(mu, sigma1_sq, sigma2_sq)
@@ -204,17 +218,10 @@ def run_sweep_mu(cfg: SweepConfig) -> dict:
     sigma1_sq, sigma2_sq = cfg.params.sigma1_sq, cfg.params.sigma2_sq
     ratio = cfg.params.width_ratio
     rows = []
-    for mu1 in np.linspace(0.01, 0.99, cfg.points).tolist():
+    for mu1 in _linspace(0.01, 0.99, cfg.points):
         d_exact, entropy, purity = _entanglement(MassFractions(mu1), sigma1_sq, sigma2_sq)
-        rows.append(
-            {
-                "mu1": mu1,
-                "d_exact": d_exact,
-                "d_asymptotic": d_asymptotic(mu1, ratio),
-                "entropy_bits": entropy,
-                "purity": purity,
-            }
-        )
+        rows.append({"mu1": mu1, "d_exact": d_exact, "d_asymptotic": d_asymptotic(mu1, ratio),
+                     "entropy_bits": entropy, "purity": purity})
     meta = {
         "sigma1_sq": sigma1_sq,
         "sigma2_sq": sigma2_sq,
@@ -254,8 +261,8 @@ def run_ellipse(cfg: SweepConfig) -> dict:
         "approx_angle_rad": approx.angle_rad,
         "initial_area": initial.area,
         "final_area": exact.area,
-        "boundary_initial": [[float(x), float(y)] for x, y in initial.boundary_points(cfg.points)],
-        "boundary_final": [[float(x), float(y)] for x, y in exact.boundary_points(cfg.points)],
+        "boundary_initial": initial.boundary_points(cfg.points),
+        "boundary_final": exact.boundary_points(cfg.points),
     }
 
 
@@ -265,6 +272,7 @@ def run_transient(cfg: SweepConfig) -> dict:
     The default window runs from 0 to 2.5 times the estimated collision
     time (packet separation over the relative velocity).
     """
+    from .gridsim import COVERAGE, transient_curve
     params = cfg.params
     reduced_mass = params.mass1 * params.mass2
     t_collision = (params.q1 + params.q2 - params.core_radius) * reduced_mass / params.momentum
@@ -275,7 +283,7 @@ def run_transient(cfg: SweepConfig) -> dict:
                          f"(estimated collision time {t_collision})")
     if not t_stop > t_start:
         raise ValueError("t_stop must exceed t_start")
-    times = np.linspace(t_start, t_stop, cfg.points)
+    times = _linspace(t_start, t_stop, cfg.points)
     entropies = transient_curve(params, times, grid_n=cfg.grid_n)
     _, asymptote, _ = _entanglement(params.fractions, params.sigma1_sq, params.sigma2_sq)
     meta = {
@@ -291,13 +299,14 @@ def run_transient(cfg: SweepConfig) -> dict:
         "analytic_entropy_bits": asymptote,
         "estimated_collision_time": t_collision,
     }
-    rows = [{"time": t, "entropy_bits": s} for t, s in zip(times.tolist(), entropies)]
+    rows = [{"time": t, "entropy_bits": s} for t, s in zip(times, entropies)]
     return {"meta": meta, "rows": rows}
 
 
 def run_oracle_check(cfg: SweepConfig) -> dict:
     """Compare the Schmidt entropy of the sampled outgoing state with the
     closed form; passes when they agree within 1e-3 bits."""
+    from .gridsim import reflected_state, schmidt_entropy
     params = cfg.params
     _, analytic, _ = _entanglement(params.fractions, params.sigma1_sq, params.sigma2_sq)
     wave = reflected_state(params, grid_n=cfg.grid_n)

@@ -10,6 +10,7 @@ stretch of the axes encode how much entanglement was generated; in the
 wide-packet limit sigma1 >> sigma2 both reduce to expressions in mu1,
 which degrade below width ratio 10 (the CLI's ellipse mode warns there).
 ``EllipseShape.from_axes`` is the one rule that orders a pair of axes.
+Results are plain floats, tuples and lists; the module needs no numpy.
 """
 
 from __future__ import annotations
@@ -17,17 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .covariance import MassFractions
 
-__all__ = [
-    "EllipseShape",
-    "scattered_form",
-    "scattered_ellipse",
-    "stretch_polynomial",
-    "approx_final_ellipse",
-]
+__all__ = ["EllipseShape", "scattered_form", "scattered_ellipse", "stretch_polynomial",
+           "approx_final_ellipse"]
 
 _DEGENERATE_REL_TOL = 1e-12
 
@@ -65,22 +59,23 @@ class EllipseShape:
     def area(self) -> float:
         return math.pi * self.semi_major * self.semi_minor
 
-    def boundary_points(self, count: int = 64) -> np.ndarray:
-        """Sample ``count`` points on the ellipse boundary, shape (count, 2)."""
+    def boundary_points(self, count: int = 64) -> list[tuple[float, float]]:
+        """``count`` evenly spaced points (x1, x2) on the ellipse boundary,
+        starting at the end of the semi-major axis."""
         if count < 1:
             raise ValueError(f"need at least one boundary point, got {count}")
-        t = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+        # Angles and products round as numpy's linspace(0, 2 pi, count, endpoint=False) does.
+        angles = [k * (2.0 * math.pi / count) for k in range(count)]
         ca, sa = math.cos(self.angle_rad), math.sin(self.angle_rad)
-        major = np.array([ca, sa])
-        minor = np.array([-sa, ca])
-        return (
-            self.semi_major * np.cos(t)[:, None] * major
-            + self.semi_minor * np.sin(t)[:, None] * minor
-        )
+        axes = [(self.semi_major * math.cos(t), self.semi_minor * math.sin(t)) for t in angles]
+        return [(u * ca + v * -sa, u * sa + v * ca) for u, v in axes]
 
 
-def scattered_form(mu: MassFractions, sigma1_sq: float, sigma2_sq: float) -> np.ndarray:
-    """Quadratic form M of the outgoing Gaussian as a read-only 2x2 array.
+def scattered_form(
+    mu: MassFractions, sigma1_sq: float, sigma2_sq: float
+) -> tuple[float, float, float]:
+    """Entries (M11, M12, M22) of the quadratic form M of the outgoing
+    Gaussian; M is symmetric, so M21 = M12.
 
     With dm = mu1 - mu2:
 
@@ -102,9 +97,7 @@ def scattered_form(mu: MassFractions, sigma1_sq: float, sigma2_sq: float) -> np.
     m11 = dm**2 / s1 + 4.0 * mu.mu1**2 / s2
     m22 = 4.0 * mu.mu2**2 / s1 + dm**2 / s2
     m12 = 2.0 * dm * (mu.mu2 / s1 - mu.mu1 / s2)
-    form = np.array([[m11, m12], [m12, m22]])
-    form.setflags(write=False)
-    return form
+    return m11, m12, m22
 
 
 def scattered_ellipse(mu: MassFractions, sigma1_sq: float, sigma2_sq: float) -> EllipseShape:
@@ -118,8 +111,7 @@ def scattered_ellipse(mu: MassFractions, sigma1_sq: float, sigma2_sq: float) -> 
     # Widths scaled by an exact power of four keep every entry of M finite.
     k = (math.frexp(sigma1_sq)[1] + math.frexp(sigma2_sq)[1]) // 4
     s1, s2 = math.ldexp(sigma1_sq, -2 * k), math.ldexp(sigma2_sq, -2 * k)
-    m = scattered_form(mu, s1, s2)
-    a, b, c = m[0, 0], m[0, 1], m[1, 1]
+    a, b, c = scattered_form(mu, s1, s2)
     disc = math.hypot(0.5 * (a - c), b)
     lam_high = 0.5 * (a + c) + disc
     root_det = math.sqrt(s1) * math.sqrt(s2)

@@ -9,6 +9,9 @@ the library's ``d_minus_half`` is derived from them.  Both stay here in
 plain numpy so the library can be checked against them.  ``mu`` is
 anything with ``mu1`` and ``mu2`` attributes, such as ``MassFractions``.
 
+``form_matrix`` and ``boundary_points_numpy`` give the ellipse module's
+plain-float results as the arrays its tests compute with.
+
 The grid oracle samples packets through ``EvolvedPacket``; the textbook
 packet amplitude, the plane wave split off the mirror image, Schmidt
 weights and entropy from one untrimmed SVD and the one-particle marginals
@@ -118,6 +121,22 @@ def scattered_form_from_factors(mu, s1, s2):
     """L^T diag(1/s1, 1/s2) L, the quadratic form of the outgoing Gaussian."""
     mixing = mixing_matrix(mu)
     return mixing.T @ np.diag([1.0 / s1, 1.0 / s2]) @ mixing
+
+
+def form_matrix(entries):
+    """The symmetric 2x2 array of the entries (M11, M12, M22) that
+    ``scattered_form`` returns."""
+    m11, m12, m22 = entries
+    return np.array([[m11, m12], [m12, m22]])
+
+
+def boundary_points_numpy(shape, count):
+    """``EllipseShape.boundary_points`` as numpy arrays, shape (count, 2):
+    angles from ``np.linspace(0, 2 pi, count, endpoint=False)``."""
+    t = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+    ca, sa = math.cos(shape.angle_rad), math.sin(shape.angle_rad)
+    return (shape.semi_major * np.cos(t)[:, None] * np.array([ca, sa])
+            + shape.semi_minor * np.sin(t)[:, None] * np.array([-sa, ca]))
 
 
 def packet_amplitude(center, momentum, width_sq, x, t=0.0, mass=1.0):

@@ -31,6 +31,7 @@ from oracles import (
     assemble,
     closed_form_blocks,
     com_relative_map,
+    form_matrix,
     marginal,
     packet_amplitude,
     scattered_covariance,
@@ -162,7 +163,7 @@ def test_criterion_5_ellipse_geometry():
         for _ in range(100):
             mu = MassFractions(float(rng.uniform(0.01, 0.99)))
             s1, s2 = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=2))
-            det = np.linalg.det(scattered_form(mu, s1, s2))
+            det = np.linalg.det(form_matrix(scattered_form(mu, s1, s2)))
             assert det * s1 * s2 == pytest.approx(1.0, rel=1e-10)
 
         tilt = scattered_ellipse(MassFractions(0.99), 1000.0**2, 1.0).angle_rad

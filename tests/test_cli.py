@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hcscatter
-from hcscatter.cli import _build_parser, main
+from hcscatter.cli import _build_parser, _linspace, _resolve, main
 
 
 def run_csv_rows(path):
@@ -188,6 +188,18 @@ class TestSingle:
         assert captured.err.startswith("error: width ratio out of range: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("mode", ["single", "sweep-mu", "ellipse"])
+    @pytest.mark.parametrize("widths", [["--ratio", "1e-300"],
+                                        ["--ratio", "1e-170", "--sigma2-sq", "1e-5"]])
+    def test_ratio_whose_square_underflows_names_the_ratio(self, mode, widths, capsys):
+        # ratio**2 * sigma2_sq rounds to 0; the error is about the ratio
+        # given, not a zero sigma1_sq that was never given.
+        assert main([mode, *widths]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: width ratio {float(widths[1])!r} is too small: "
+                                "ratio**2 * sigma2_sq underflows\n")
+
 
 class TestSweepMu:
     def test_default_grid_reproduces_known_points(self, tmp_path):
@@ -236,12 +248,13 @@ class TestEllipse:
         assert header == ["ellipse", "idx", "x1", "x2"]
         from hcscatter.covariance import MassFractions
         from hcscatter.ellipse import scattered_form
+        from oracles import form_matrix
 
-        form = scattered_form(
+        form = form_matrix(scattered_form(
             MassFractions(float(meta["mu1"])),
             float(meta["sigma1_sq"]),
             float(meta["sigma2_sq"]),
-        )
+        ))
         final = np.array([[float(r[2]), float(r[3])] for r in rows if r[0] == "final"])
         assert len(final) == 64
         values = np.einsum("ni,ij,nj->n", final, form, final)
@@ -326,6 +339,12 @@ class TestTransient:
     def test_bad_window(self, capsys):
         assert main(["transient", "--t-start", "2", "--t-stop", "1"]) == 2
         assert capsys.readouterr().err == "error: t_stop must exceed t_start\n"
+
+    def test_window_whose_step_underflows_repeats_a_time(self, capsys):
+        # The step 5e-324 / 2 rounds to 0, so the first two times coincide.
+        argv = ["transient", "--t-stop", "5e-324", "--points", "3", "--grid-n", "64"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: times must be strictly ascending\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -523,6 +542,21 @@ class TestConfigFile:
     def test_missing_config_file_is_io_error(self, capsys):
         assert main(["single", "--config", "/nonexistent/run.cfg"]) == 3
 
+    def test_file_that_is_not_utf8_names_the_path(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xffmu1 = 0.3\n")
+        assert main(["single", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {cfg}: 'utf-8' codec can't decode byte 0xff "
+                                "in position 0: invalid start byte\n")
+
+    def test_file_is_read_as_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("# Größen \u03c3\u00b2\nmu1 = 0.3\n".encode("utf-8"))
+        assert main(["single", "--config", str(cfg), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["mu1"] == 0.3
+
 
 class TestModuleEntry:
     def test_python_m_runs_the_cli(self):
@@ -534,6 +568,58 @@ class TestModuleEntry:
             env=env, capture_output=True, text=True, check=False)
         assert done.returncode == 0, done.stderr
         assert done.stdout == (GOLDEN / "single_mu1_csv.txt").read_text()
+        assert done.stderr == ""
+
+
+class TestLinspace:
+    """``_linspace`` against ``np.linspace``, compared bit for bit."""
+
+    @staticmethod
+    def assert_matches_numpy(start, stop, count):
+        got = np.array(_linspace(start, stop, count))
+        want = np.linspace(start, stop, count)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (start, stop, count)
+
+    def test_sweep_interval(self):
+        for count in range(1, 5001):
+            self.assert_matches_numpy(0.01, 0.99, count)
+
+    def test_default_transient_window(self):
+        params = _resolve("transient", {}, {}).params
+        separation = params.q1 + params.q2 - params.core_radius
+        t_stop = 2.5 * separation * params.mass1 * params.mass2 / params.momentum
+        for count in range(1, 1001):
+            self.assert_matches_numpy(0.0, t_stop, count)
+
+    def test_random_windows(self):
+        rng = np.random.default_rng(59)
+        for _ in range(2000):
+            start = float(rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-300, 300))
+            stop = start + abs(start) * float(10.0 ** rng.uniform(-12, 3))
+            self.assert_matches_numpy(start, stop, int(rng.integers(1, 200)))
+
+
+class TestNumpyFree:
+    def test_closed_form_modes_do_not_import_numpy(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "from hcscatter.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['single']), main(['ellipse', '--points', '4']),\n"
+            "             main(['sweep-mu', '--points', '3'])]\n"
+            "    try:\n"
+            "        main(['--help'])\n"
+            "    except SystemExit as exc:\n"
+            "        codes.append(exc.code)\n"
+            "print(codes, sorted(m for m in ('numpy', 'hcscatter.gridsim') if m in sys.modules))\n"
+        )
+        src = str(Path(hcscatter.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=False)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[0, 0, 0, 0] []\n"
         assert done.stderr == ""
 
 

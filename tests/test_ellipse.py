@@ -12,7 +12,12 @@ from hcscatter.ellipse import (
     scattered_form,
     stretch_polynomial,
 )
-from oracles import mixing_matrix, scattered_form_from_factors
+from oracles import (
+    boundary_points_numpy,
+    form_matrix,
+    mixing_matrix,
+    scattered_form_from_factors,
+)
 
 
 def tilt_oracle(entries):
@@ -51,14 +56,13 @@ def draw_parameters(rng):
 class TestScatteredForm:
     def test_equal_masses_swap_widths(self):
         s1, s2 = 9.0, 1.0
-        form = scattered_form(MassFractions(0.5), s1, s2)
+        form = form_matrix(scattered_form(MassFractions(0.5), s1, s2))
         assert np.allclose(form, np.diag([1.0 / s2, 1.0 / s1]), atol=1e-15)
-        assert not form.flags.writeable
 
     def test_width_mass_balance_keeps_widths(self):
         mu = MassFractions(0.25)
         s1, s2 = 3.0, 1.0  # mu1 s1 = mu2 s2
-        form = scattered_form(mu, s1, s2)
+        form = form_matrix(scattered_form(mu, s1, s2))
         assert form[0, 0] == pytest.approx(1.0 / s1, rel=1e-14)
         assert form[1, 1] == pytest.approx(1.0 / s2, rel=1e-14)
         assert abs(form[0, 1]) <= 1e-14
@@ -66,19 +70,19 @@ class TestScatteredForm:
     def test_factorization_locus_is_sharp(self):
         # Exactly on either locus the cross entry vanishes; a 1e-3 nudge
         # of the mass fraction revives it.
-        equal = scattered_form(MassFractions(0.5), 5.0, 2.0)
+        equal = form_matrix(scattered_form(MassFractions(0.5), 5.0, 2.0))
         assert equal[0, 1] == 0.0
         mu = MassFractions(0.3)
-        balanced = scattered_form(mu, 2.0, mu.mu1 * 2.0 / mu.mu2)
+        balanced = form_matrix(scattered_form(mu, 2.0, mu.mu1 * 2.0 / mu.mu2))
         assert abs(balanced[0, 1]) <= 1e-14
-        nudged = scattered_form(MassFractions(0.301), 2.0, mu.mu1 * 2.0 / mu.mu2)
+        nudged = form_matrix(scattered_form(MassFractions(0.301), 2.0, mu.mu1 * 2.0 / mu.mu2))
         assert abs(nudged[0, 1]) > 1e-5
 
     def test_matches_factor_product(self):
         rng = np.random.default_rng(41)
         for _ in range(25):
             mu, s1, s2 = draw_parameters(rng)
-            direct = scattered_form(mu, s1, s2)
+            direct = form_matrix(scattered_form(mu, s1, s2))
             product = scattered_form_from_factors(mu, s1, s2)
             assert np.allclose(direct, product, rtol=1e-12, atol=1e-14)
 
@@ -94,7 +98,7 @@ class TestScatteredForm:
         rng = np.random.default_rng(47)
         for _ in range(100):
             mu, s1, s2 = draw_parameters(rng)
-            det = np.linalg.det(scattered_form(mu, s1, s2))
+            det = np.linalg.det(form_matrix(scattered_form(mu, s1, s2)))
             assert det * s1 * s2 == pytest.approx(1.0, rel=1e-10)
 
     def test_rejects_nonpositive_widths(self):
@@ -144,8 +148,7 @@ class TestEllipseFromForm:
         # Close to mu1 s1 = mu2 s2 the cross entry is tiny and the long axis
         # sits just above or just below the x1 axis (angle near 0 or pi).
         # The tilt must keep its relative accuracy there.
-        entries = scattered_form(MassFractions(mu1), s1, s2)
-        want = tilt_oracle(entries)
+        want = tilt_oracle(form_matrix(scattered_form(MassFractions(mu1), s1, s2)))
         tilt = abs(math.remainder(want, math.pi))
         assert 0.0 < tilt < 1e-7
         got = scattered_ellipse(MassFractions(mu1), s1, s2).angle_rad
@@ -155,8 +158,8 @@ class TestEllipseFromForm:
         rng = np.random.default_rng(53)
         for _ in range(10):
             mu, s1, s2 = draw_parameters(rng)
-            form = scattered_form(mu, s1, s2)
-            points = scattered_ellipse(mu, s1, s2).boundary_points()
+            form = form_matrix(scattered_form(mu, s1, s2))
+            points = np.array(scattered_ellipse(mu, s1, s2).boundary_points())
             assert points.shape == (64, 2)
             values = np.einsum("ni,ij,nj->n", points, form, points)
             assert np.max(np.abs(values - 1.0)) <= 1e-10
@@ -302,7 +305,20 @@ class TestEllipseShape:
         turned = EllipseShape.from_axes(0.5, 2.0, 0.75 * math.pi)
         assert turned.angle_rad == pytest.approx(0.25 * math.pi, rel=1e-15)
 
+    def test_boundary_points_match_the_numpy_route(self):
+        # Plain float pairs, bit for bit the numpy evaluation the CLI's
+        # pinned ellipse outputs were first written with.
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            axes = sorted(10.0 ** rng.uniform(-3, 3, size=2), reverse=True)
+            shape = EllipseShape(*map(float, axes), float(rng.uniform(0.0, math.pi)))
+            count = int(rng.integers(1, 100))
+            points = shape.boundary_points(count)
+            assert all(type(x) is float and type(y) is float for x, y in points)
+            want = boundary_points_numpy(shape, count)
+            assert np.array_equal(np.array(points).view(np.int64), want.view(np.int64))
+
     def test_boundary_point_count(self):
-        assert EllipseShape(2.0, 1.0, 0.3).boundary_points(17).shape == (17, 2)
+        assert np.array(EllipseShape(2.0, 1.0, 0.3).boundary_points(17)).shape == (17, 2)
         with pytest.raises(ValueError):
             EllipseShape(2.0, 1.0, 0.3).boundary_points(0)
