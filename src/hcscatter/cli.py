@@ -174,8 +174,8 @@ def _resolve(mode: str, flags: dict, file_values: dict) -> SweepConfig:
 
 def _linspace(start: float, stop: float, count: int) -> list[float]:
     """``count`` evenly spaced points from start to stop, bit for bit
-    ``np.linspace(start, stop, count).tolist()``.  numpy divides instead
-    where the step underflows to 0; those times repeat and are rejected."""
+    ``np.linspace(start, stop, count).tolist()``.  numpy divides instead where
+    the step underflows to 0; points repeat then, and ``transient_curve`` rejects them."""
     if count < 2:
         return [start][:count]
     step = (stop - start) / (count - 1)
