@@ -9,8 +9,10 @@ the library's ``d_minus_half`` is derived from them.  Both stay here in
 plain numpy so the library can be checked against them.  ``mu`` is
 anything with ``mu1`` and ``mu2`` attributes, such as ``MassFractions``.
 
-``form_matrix`` and ``boundary_points_numpy`` give the ellipse module's
-plain-float results as the arrays its tests compute with.
+``form_matrix`` builds the 2x2 array of ``scattered_form``'s entries for
+the tests to compute with; ``boundary_points_numpy`` is the numpy
+evaluation of the ellipse boundary that ``EllipseShape.boundary_points``
+matches bit for bit.
 
 The grid oracle samples packets through ``EvolvedPacket``; the textbook
 packet amplitude, the plane wave split off the mirror image, Schmidt

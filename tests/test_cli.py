@@ -558,14 +558,18 @@ class TestConfigFile:
         assert json.loads(capsys.readouterr().out)["mu1"] == 0.3
 
 
+def run_python(*args):
+    """Run a fresh interpreter that imports this hcscatter."""
+    src = str(Path(hcscatter.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=False)
+
+
 class TestModuleEntry:
     def test_python_m_runs_the_cli(self):
-        src = str(Path(hcscatter.__file__).resolve().parent.parent)
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
-        done = subprocess.run(
-            [sys.executable, "-m", "hcscatter", *GOLDEN_CASES["single_mu1_csv"]["argv"]],
-            env=env, capture_output=True, text=True, check=False)
+        done = run_python("-m", "hcscatter", *GOLDEN_CASES["single_mu1_csv"]["argv"])
         assert done.returncode == 0, done.stderr
         assert done.stdout == (GOLDEN / "single_mu1_csv.txt").read_text()
         assert done.stderr == ""
@@ -613,11 +617,7 @@ class TestNumpyFree:
             "        codes.append(exc.code)\n"
             "print(codes, sorted(m for m in ('numpy', 'hcscatter.gridsim') if m in sys.modules))\n"
         )
-        src = str(Path(hcscatter.__file__).resolve().parent.parent)
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, check=False)
+        done = run_python("-c", script)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[0, 0, 0, 0] []\n"
         assert done.stderr == ""
