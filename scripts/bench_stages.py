@@ -1,4 +1,4 @@
-"""Before/after wall times of every CLI mode, and the split of one time point.
+"""Before/after wall times of every CLI mode, and the stage split of single states.
 
 Usage (from the repository root):
 
@@ -14,14 +14,16 @@ stamp of ``perfbench/run.py``.  Per side it records
   import included;
 * the same calls made in-process: the first call of a process apart
   from the warm calls after it;
-* the split of the default ``transient`` time point at the estimated
-  collision time t_c (n = 512) into sampling, norm check and Schmidt
-  entropy, and the shape of the matrix the SVD gets at t = 0, t_c and
-  2.5 t_c;
-* the same split of the default ``oracle-check`` state at n = 1024, taken
-  through the public ``reflected_state`` (its sampling time includes the
-  sampler's own norm check) and ``schmidt_entropy``, and the dtype of the
-  matrix the SVD gets.
+* the split of the default ``transient`` state (n = 512) at t = 0, at
+  the estimated collision time t_c and at 2.5 t_c, and of the default
+  ``oracle-check`` state at n = 512 and 1024, into sampling (through the
+  public samplers, so it includes the sampler's own norm check), norm
+  check and Schmidt entropy;
+* for each of those states, what the Schmidt stage hands LAPACK, read by
+  wrapping ``numpy.linalg.qr`` and ``numpy.linalg.svd``: the column
+  count of every range sample it tries, the shape and dtype of the
+  matrix the SVD gets, and ``k``, the sample the SVD's input was
+  projected on, or "full" when the SVD gets the state's matrix itself.
 
 Times are medians over all samples; the samples are kept too.
 """
@@ -43,7 +45,9 @@ ROOT = Path(__file__).resolve().parent.parent
 MODES = ("single", "ellipse", "sweep-mu", "oracle-check", "transient")
 WARM_CALLS = 3
 SPLIT_REPEATS = 5
-ORACLE_N = 1024
+ORACLE_NS = (512, 1024)
+TRANSIENT_N = 512
+TRANSIENT_POINTS = (("t=0", 0.0), ("t_c", 1.0), ("2.5 t_c", 2.5))
 CLI = "import sys; from hcscatter.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -66,11 +70,48 @@ def _median_of(fn, repeats):
     return statistics.median(samples), result
 
 
+def _lapack_inputs(schmidt_entropy, wave) -> dict:
+    """What one ``schmidt_entropy(wave)`` call hands ``numpy.linalg``."""
+    import numpy as np
+
+    samples, inputs = [], []
+    qr, svd = np.linalg.qr, np.linalg.svd
+
+    def qr_spy(a, *args, **kwargs):
+        samples.append(a.shape[1])
+        return qr(a, *args, **kwargs)
+
+    def svd_spy(a, *args, **kwargs):
+        inputs.append((list(a.shape), str(a.dtype)))
+        return svd(a, *args, **kwargs)
+
+    np.linalg.qr, np.linalg.svd = qr_spy, svd_spy
+    try:
+        schmidt_entropy(wave)
+    finally:
+        np.linalg.qr, np.linalg.svd = qr, svd
+    (shape, dtype), = inputs
+    # A projected input has as many rows as the last sample has columns;
+    # a sample is tried only on a matrix at least four times its size.
+    projected = bool(samples) and shape[0] == samples[-1]
+    return {"samples": samples, "svd_input": shape, "dtype": dtype,
+            "k": samples[-1] if projected else "full"}
+
+
+def _split(gridsim, sample) -> tuple[dict, dict]:
+    """Stage times of one sampled state, and its LAPACK inputs."""
+    sampling, wave = _median_of(sample, SPLIT_REPEATS)
+    norm, _ = _median_of(wave.norm, SPLIT_REPEATS)
+    schmidt, _ = _median_of(lambda: gridsim.schmidt_entropy(wave), SPLIT_REPEATS)
+    times = {"sampling": sampling, "norm": norm, "schmidt": schmidt}
+    return times, _lapack_inputs(gridsim.schmidt_entropy, wave)
+
+
 def measure() -> dict:
     """One fresh interpreter's measurements of the hcscatter it imports."""
     from hcscatter import cli, gridsim
 
-    record = {"first_call_s": {}, "warm_call_s": {}}
+    record = {"first_call_s": {}, "warm_call_s": {}, "split_s": {}, "lapack": {}}
     for mode in MODES:
         record["first_call_s"][mode] = _call(cli.main, mode)
         record["warm_call_s"][mode] = [_call(cli.main, mode) for _ in range(WARM_CALLS)]
@@ -78,30 +119,18 @@ def measure() -> dict:
     params = cli._resolve("transient", {}, {}).params
     separation = params.q1 + params.q2 - params.core_radius
     t_c = separation * params.mass1 * params.mass2 / params.momentum
-    grid = gridsim.auto_grid(params, t_c, "both", 512)
-    x1, x2 = grid.axes()
-    e1, e2 = gridsim._evolved_pair(params, t_c)
-    sampling, amplitudes = _median_of(
-        lambda: gridsim._collision_amplitudes(params, e1, e2, x1, x2), SPLIT_REPEATS)
-    wave = gridsim.WaveGrid(amplitudes, grid)
-    norm, _ = _median_of(wave.norm, SPLIT_REPEATS)
-    schmidt, _ = _median_of(lambda: gridsim.schmidt_entropy(wave), SPLIT_REPEATS)
-    record["split_n512_tc_s"] = {"sampling": sampling, "norm": norm, "schmidt": schmidt}
-
-    support = getattr(gridsim, "_support", lambda amplitudes: amplitudes)
-    record["svd_shape_n512"] = {
-        label: list(support(gridsim.collision_state(params, factor * t_c).amplitudes).shape)
-        for label, factor in (("t=0", 0.0), ("t_c", 1.0), ("2.5 t_c", 2.5))
+    states = {
+        f"transient n={TRANSIENT_N} {label}":
+            lambda t=factor * t_c: gridsim.collision_state(params, t, grid_n=TRANSIENT_N)
+        for label, factor in TRANSIENT_POINTS
     }
-
-    params = cli._resolve("oracle-check", {}, {}).params
-    sampling, wave = _median_of(
-        lambda: gridsim.reflected_state(params, grid_n=ORACLE_N), SPLIT_REPEATS)
-    norm, _ = _median_of(wave.norm, SPLIT_REPEATS)
-    schmidt, _ = _median_of(lambda: gridsim.schmidt_entropy(wave), SPLIT_REPEATS)
-    record["oracle_split_n1024_s"] = {"sampling": sampling, "norm": norm, "schmidt": schmidt}
-    # schmidt_entropy hands the SVD the amplitudes or a subset of them.
-    record["oracle_svd_dtype"] = str(wave.amplitudes.dtype)
+    oracle = cli._resolve("oracle-check", {}, {}).params
+    states.update({
+        f"oracle-check n={n}": lambda n=n: gridsim.reflected_state(oracle, grid_n=n)
+        for n in ORACLE_NS
+    })
+    for label, sample in states.items():
+        record["split_s"][label], record["lapack"][label] = _split(gridsim, sample)
     return record
 
 
@@ -121,18 +150,20 @@ def _run_side(src: Path) -> dict:
 
 def _merge(records: list) -> dict:
     """Medians over the rounds, with every sample kept."""
-    out = {}
-    for key in ("process_s", "first_call_s", "warm_call_s", "split_n512_tc_s",
-                "oracle_split_n1024_s"):
-        out[key] = {}
-        for name in records[0][key]:
-            samples = []
-            for record in records:
-                value = record[key][name]
-                samples.extend(value if isinstance(value, list) else [value])
-            out[key][name] = {"median": statistics.median(samples), "samples": samples}
-    out["svd_shape_n512"] = records[0]["svd_shape_n512"]
-    out["oracle_svd_dtype"] = records[0]["oracle_svd_dtype"]
+
+    def merged(values):
+        samples = []
+        for value in values:
+            samples.extend(value if isinstance(value, list) else [value])
+        return {"median": statistics.median(samples), "samples": samples}
+
+    out = {key: {name: merged(record[key][name] for record in records)
+                 for name in records[0][key]}
+           for key in ("process_s", "first_call_s", "warm_call_s")}
+    out["split_s"] = {label: {stage: merged(record["split_s"][label][stage] for record in records)
+                              for stage in stages}
+                      for label, stages in records[0]["split_s"].items()}
+    out["lapack"] = records[0]["lapack"]
     return out
 
 

@@ -130,9 +130,16 @@ def _resolve(mode: str, flags: dict, file_values: dict) -> SweepConfig:
             raise ValueError(
                 f"width ratio must be finite, positive and at most {_MAX_RATIO:g}, got {ratio}"
             )
-        sigma1_sq = ratio**2 * sigma2_sq
+        if not math.isfinite(sigma2_sq):
+            raise ValueError(f"sigma2_sq must be finite, got {sigma2_sq}")
+        # A square below the normal range has lost digits; scaling sigma2_sq
+        # by the ratio twice keeps them while the product is a normal float.
+        square = ratio**2
+        sigma1_sq = square * sigma2_sq if square >= sys.float_info.min else ratio * (ratio * sigma2_sq)
         if sigma1_sq == 0.0 < sigma2_sq:
             raise ValueError(f"width ratio {ratio} is too small: ratio**2 * sigma2_sq underflows")
+        if math.isinf(sigma1_sq):
+            raise ValueError(f"width ratio {ratio} is too large: ratio**2 * sigma2_sq overflows")
 
     # Raw masses are normalized by ScatterParams; a bare mu1 enters as its
     # MassFractions, whose delta = 2 mu1 - 1 is rounded once.

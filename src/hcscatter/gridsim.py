@@ -42,6 +42,16 @@ Schmidt weight w by at most 2 sqrt(w delta) + delta, below the 1e-14
 weight floor for n <= 1024.  The reflected state fills its own box, so
 ``oracle-check``'s matrix is never trimmed.
 
+A two-mode Gaussian's Schmidt weights fall off geometrically, so the
+matrix A left after the trim often has a numerical rank far below its
+size.  The SVD then gets B = Q^H A, Q an orthonormal basis of k evenly
+spaced columns of A, once ||A - Q B||_F^2 is found to be at most 1e-16 of
+the mass (``_DISCARD_FLOOR``): no Schmidt weight moves by more than that.
+The first sample has 32 columns; a failed check sizes a new sample from
+the residual's decay, and once k would pass a quarter of A's smaller
+side, A itself goes to the SVD, as a mid-bounce state's does.  This costs
+about n^2 k instead of n^3 on a low-rank state.
+
 Each sampler is pure per call; independent grids and time points may be
 evaluated concurrently.
 """
@@ -88,6 +98,15 @@ _WEIGHT_FLOOR = 1e-14
 # below the weight floor for n <= 1024, and far below the ~2e-9 the
 # COVERAGE box itself cuts at any n.
 _SUPPORT_FLOOR = 1e-32
+# The Schmidt SVD may get Q^H A, Q orthonormal, in place of A when the
+# mass it leaves out, ||A - Q Q^H A||_F^2, is at most this fraction of the
+# total.  Then sigma_i(Q^H A) <= sigma_i(A) and sum(sigma_i^2 - sigma~_i^2)
+# is that mass, so no weight moves by more than 1e-16: far below the
+# 1e-14 weight floor.
+_DISCARD_FLOOR = 1e-16
+# Columns in the first range sample, and rows per block of the residual.
+_FIRST_SAMPLE = 32
+_RESIDUAL_ROWS = 128
 
 _MIN_POINTS = 64
 
@@ -385,18 +404,47 @@ def collision_state(
     return _sample(params, t, grid_n, "both", "the collision state", _collision_amplitudes)
 
 
-def _support(amplitudes: np.ndarray) -> np.ndarray:
+def _support(amplitudes: np.ndarray) -> tuple[np.ndarray, float]:
     """The rows and columns of ``amplitudes`` whose share of the mass
-    exceeds ``_SUPPORT_FLOOR``; the array itself, uncopied, when that is
-    all of them."""
+    exceeds ``_SUPPORT_FLOOR`` (the array itself, uncopied, when that is
+    all of them), and the sum of |amplitudes|^2."""
     density = np.abs(amplitudes)
     density *= density
     rows, columns = density.sum(axis=1), density.sum(axis=0)
-    floor = _SUPPORT_FLOOR * rows.sum()
+    mass = float(rows.sum())
+    floor = _SUPPORT_FLOOR * mass
     keep_rows, keep_columns = rows > floor, columns > floor
     if keep_rows.all() and keep_columns.all():
-        return amplitudes
-    return amplitudes[np.ix_(keep_rows, keep_columns)]
+        return amplitudes, mass
+    return amplitudes[np.ix_(keep_rows, keep_columns)], mass
+
+
+def _singular_values(matrix: np.ndarray, mass: float) -> np.ndarray:
+    """Singular values of A = ``matrix``, whose |entries|^2 sum to at most
+    ``mass``: those of B = Q^H A, Q from one QR of k columns of A, once
+    ||A - Q B||_F^2 is at most ``_DISCARD_FLOOR`` of the mass, else, when
+    k would pass a quarter of A's smaller side, those of A itself."""
+    rows, columns = matrix.shape
+    k = _FIRST_SAMPLE
+    while 4 * k <= min(rows, columns):
+        # The middle column of each of k equal strips.
+        sample = matrix[:, (2 * np.arange(k) + 1) * columns // (2 * k)]
+        basis = np.linalg.qr(sample)[0]
+        projection = basis.conj().T @ matrix
+        # ||A - Q B||_F^2 by blocks of rows: no temporary of A's size.
+        discarded = 0.0
+        for start in range(0, rows, _RESIDUAL_ROWS):
+            block = basis[start:start + _RESIDUAL_ROWS] @ projection
+            block -= matrix[start:start + _RESIDUAL_ROWS]
+            discarded += float(np.vdot(block, block).real)
+        ratio = discarded / mass
+        if ratio <= _DISCARD_FLOOR:
+            matrix = projection
+            break
+        # The residual fell as ratio**(1/k) per sampled column; take as
+        # many columns as reach the floor at that rate.
+        k = math.ceil(k * math.log(_DISCARD_FLOOR) / math.log(ratio)) if ratio < 1.0 else columns
+    return np.linalg.svd(matrix, compute_uv=False)
 
 
 def schmidt_entropy(wave: WaveGrid) -> float:
@@ -412,9 +460,14 @@ def schmidt_entropy(wave: WaveGrid) -> float:
     n <= 1024 (see ``_SUPPORT_FLOOR``).  Mostly these are the wall-masked
     half of a collision state's box away from the collision; a reflected
     state's box already fits, so its matrix goes to the SVD untrimmed.
+
+    The SVD gets the projection of the kept matrix on k of its own columns
+    when that leaves out at most 1e-16 of the mass, which moves no weight
+    by more than 1e-16 (see ``_DISCARD_FLOOR``); it gets the kept matrix
+    itself when no sample of up to a quarter of its smaller side does.
     """
     _check_norm(wave, "the input state")
-    singular = np.linalg.svd(_support(wave.amplitudes), compute_uv=False)
+    singular = _singular_values(*_support(wave.amplitudes))
     weights = singular**2 * (wave.grid.dx1 * wave.grid.dx2)
     weights = weights / weights.sum()
     weights = weights[weights > _WEIGHT_FLOOR]

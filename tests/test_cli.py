@@ -201,6 +201,40 @@ class TestSingle:
                                 "ratio**2 * sigma2_sq underflows\n")
 
 
+    @pytest.mark.parametrize("mode", ["single", "sweep-mu", "ellipse"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_sigma2_with_a_ratio_names_sigma2(self, mode, value, capsys):
+        # sigma1_sq = ratio**2 * sigma2_sq is never given; the bad input is.
+        assert main([mode, "--ratio", "10", "--sigma2-sq", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: sigma2_sq must be finite, got {value}\n"
+
+    @pytest.mark.parametrize("mode", ["single", "sweep-mu", "ellipse"])
+    def test_ratio_whose_product_overflows_names_the_ratio(self, mode, capsys):
+        assert main([mode, "--ratio", "1e5", "--sigma2-sq", "1e300"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: width ratio 100000.0 is too large: "
+                                "ratio**2 * sigma2_sq overflows\n")
+
+    @pytest.mark.parametrize("ratio, sigma2_sq, sigma1_sq", [("1e-200", "1e300", "1e-100"),
+                                                             ("1e-160", "1e150", "1e-170")])
+    def test_square_below_the_normal_range_keeps_the_digits_of_sigma1(
+            self, ratio, sigma2_sq, sigma1_sq, capsys):
+        # ratio**2 is below the normal floats (0, or a subnormal that has
+        # lost digits: 1e-160**2 * 1e150 is 9.99988867182683e-171), while
+        # ratio * (ratio * sigma2_sq) is exact.  sigma1_sq / sigma2_sq is
+        # that square, so the width-ratio rule rejects the widths, and
+        # names the sigma1_sq the ratio gives.
+        assert main(["single", "--ratio", ratio, "--sigma2-sq", sigma2_sq]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: width ratio out of range: sigma1_sq, sigma2_sq and their ratio must be "
+            f"normal floats, got sigma1_sq={sigma1_sq}, sigma2_sq={float(sigma2_sq)!r}\n")
+
+
 class TestSweepMu:
     def test_default_grid_reproduces_known_points(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -620,6 +654,21 @@ class TestNumpyFree:
         done = run_python("-c", script)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[0, 0, 0, 0] []\n"
+        assert done.stderr == ""
+
+    def test_oracle_check_does_not_import_numpy_random(self):
+        # The Schmidt spectrum samples the state's range with columns of the
+        # state itself; numpy.random would add about 6 MB to the process.
+        script = (
+            "import contextlib, io, sys\n"
+            "from hcscatter.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['oracle-check'])\n"
+            "print(code, 'numpy.linalg' in sys.modules, 'numpy.random' in sys.modules)\n"
+        )
+        done = run_python("-c", script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0 True False\n"
         assert done.stderr == ""
 
 

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from hcscatter.cli import main as cli_main
 from hcscatter.covariance import MassFractions, d_minus_half, entropy_from_d_minus_half
 from hcscatter.gridsim import (
     CoverageError,
     GridSpec,
     WaveGrid,
     _image_envelope,
+    _singular_values,
     _support,
     auto_grid,
     collision_state,
@@ -292,10 +294,11 @@ class TestSchmidtEntropy:
         # Before contact the wall mask leaves most of the union box empty;
         # the reflected state's own box fits and is passed on uncopied.
         wave = collision_state(params, 0.0, grid_n=256)
-        kept = _support(wave.amplitudes)
+        kept, mass = _support(wave.amplitudes)
         assert kept.shape[0] < wave.grid.n and kept.shape[1] < wave.grid.n
+        assert mass == pytest.approx(wave.norm() / (wave.grid.dx1 * wave.grid.dx2), rel=1e-13)
         reflected = reflected_state(params, grid_n=256).amplitudes
-        assert _support(reflected) is reflected
+        assert _support(reflected)[0] is reflected
 
     def test_free_evolution_leaves_entropy_alone(self):
         params = ScatterParams(1.0, 3.0, 16.0, 1.0, momentum=4.0, core_radius=0.5)
@@ -304,6 +307,107 @@ class TestSchmidtEntropy:
             for t in (0.0, 1.0, 2.5, 5.0, 9.0)
         ]
         assert max(entropies) - min(entropies) <= 2e-3
+
+
+def linalg_spy(monkeypatch):
+    """Record the column count of every matrix ``np.linalg.qr`` gets and
+    the shape of every matrix ``np.linalg.svd`` gets, in call order."""
+    calls = {"qr": [], "svd": []}
+    qr, svd = np.linalg.qr, np.linalg.svd
+
+    def qr_spy(a, *args, **kwargs):
+        calls["qr"].append(a.shape[1])
+        return qr(a, *args, **kwargs)
+
+    def svd_spy(a, *args, **kwargs):
+        calls["svd"].append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", qr_spy)
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    return calls
+
+
+def library_weights(amplitudes):
+    """The support kept for the SVD and the Schmidt weights the library
+    takes from it, largest first."""
+    kept, mass = _support(amplitudes)
+    weights = _singular_values(kept, mass) ** 2
+    return kept, weights / weights.sum()
+
+
+def assert_weights_match_full_svd(kept, weights):
+    """Each weight within 1e-16 (the projection's certified bound) of the
+    full SVD's, plus 10 eps of the largest weight for the rounding of the
+    two SVDs: the full SVD of the transposed matrix alone differs from the
+    full SVD by up to 3 eps of it on these states."""
+    full = schmidt_weights(kept)
+    padded = np.zeros_like(full)
+    padded[:len(weights)] = weights
+    assert np.abs(padded - full).max() <= 1e-16 + 10.0 * np.finfo(float).eps * full[0]
+
+
+def geometric_matrix(n, xi, seed=0):
+    """An n x n matrix with random singular vectors and Schmidt weights
+    proportional to xi**k."""
+    rng = np.random.default_rng(seed)
+    left = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    right = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return (left * xi ** (0.5 * np.arange(n))) @ right.T
+
+
+class TestCertifiedSpectrum:
+    """The Schmidt SVD of a low-rank state runs on Q^H A, certified to
+    leave out at most 1e-16 of the mass; other states keep the full SVD."""
+
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("t_over_tc", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("params", TRANSIENT_SCENARIOS)
+    def test_collision_spectrum_matches_the_full_svd(self, params, t_over_tc, n):
+        wave = collision_state(params, t_over_tc * collision_time(params), grid_n=n)
+        assert_weights_match_full_svd(*library_weights(wave.amplitudes))
+        assert abs(schmidt_entropy(wave) - full_svd_entropy(wave)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_reference_spectrum_matches_the_full_svd(self, reference_params, n):
+        wave = reflected_state(reference_params, grid_n=n)
+        kept, weights = library_weights(wave.amplitudes)
+        assert len(weights) < n // 4
+        assert_weights_match_full_svd(kept, weights)
+        assert abs(schmidt_entropy(wave) - full_svd_entropy(wave)) <= 1e-13
+
+    def test_slow_decay_falls_back_to_the_full_svd(self, monkeypatch):
+        # At xi = 0.97 the first 32 columns leave a third of the mass out;
+        # the sample that decay asks for is past n/4, so A itself goes to
+        # the SVD.
+        matrix = geometric_matrix(512, 0.97)
+        calls = linalg_spy(monkeypatch)
+        weights = _singular_values(matrix, float(np.vdot(matrix, matrix))) ** 2
+        assert calls == {"qr": [32], "svd": [(512, 512)]}
+        assert_weights_match_full_svd(matrix, weights / weights.sum())
+
+    def test_fast_decay_restarts_with_a_larger_sample(self, monkeypatch):
+        # At xi = 0.6, 32 columns leave ~1e-6 of the mass out; the decay
+        # sizes one new sample, which passes.
+        matrix = geometric_matrix(512, 0.6)
+        calls = linalg_spy(monkeypatch)
+        weights = _singular_values(matrix, float(np.vdot(matrix, matrix))) ** 2
+        assert len(calls["qr"]) == 2 and calls["qr"][0] == 32 < calls["qr"][1] <= 128
+        assert calls["svd"] == [(calls["qr"][1], 512)]
+        assert_weights_match_full_svd(matrix, weights / weights.sum())
+
+    def test_oracle_check_svd_gets_a_short_matrix(self, monkeypatch, capsys):
+        calls = linalg_spy(monkeypatch)
+        assert cli_main(["oracle-check", "--grid-n", "512"]) == 0
+        assert len(calls["svd"]) == 1 and calls["svd"][0][0] < 128
+        assert capsys.readouterr().err == ""
+
+    def test_mid_bounce_state_gets_the_full_svd(self, monkeypatch):
+        params = TRANSIENT_SCENARIOS[0]
+        wave = collision_state(params, collision_time(params), grid_n=512)
+        calls = linalg_spy(monkeypatch)
+        schmidt_entropy(wave)
+        assert calls["svd"] == [_support(wave.amplitudes)[0].shape]
 
 
 class TestCollisionState:
