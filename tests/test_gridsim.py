@@ -377,9 +377,9 @@ class TestCertifiedSpectrum:
         assert abs(schmidt_entropy(wave) - full_svd_entropy(wave)) <= 1e-13
 
     def test_slow_decay_falls_back_to_the_full_svd(self, monkeypatch):
-        # At xi = 0.97 the first 32 columns leave a third of the mass out;
-        # the sample that decay asks for is past n/4, so A itself goes to
-        # the SVD.
+        # At xi = 0.97 the first 32 columns leave 59% of the mass out; the
+        # sample that decay asks for, ~2200 columns, is past n/4, so A
+        # itself goes to the SVD.
         matrix = geometric_matrix(512, 0.97)
         calls = linalg_spy(monkeypatch)
         weights = _singular_values(matrix, float(np.vdot(matrix, matrix))) ** 2
