@@ -132,10 +132,7 @@ def _resolve(mode: str, flags: dict, file_values: dict) -> SweepConfig:
             )
         if not math.isfinite(sigma2_sq):
             raise ValueError(f"sigma2_sq must be finite, got {sigma2_sq}")
-        # A square below the normal range has lost digits; scaling sigma2_sq
-        # by the ratio twice keeps them while the product is a normal float.
-        square = ratio**2
-        sigma1_sq = square * sigma2_sq if square >= sys.float_info.min else ratio * (ratio * sigma2_sq)
+        sigma1_sq = ratio**2 * sigma2_sq
         if sigma1_sq == 0.0 < sigma2_sq:
             raise ValueError(f"width ratio {ratio} is too small: ratio**2 * sigma2_sq underflows")
         if math.isinf(sigma1_sq):

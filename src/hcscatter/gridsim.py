@@ -438,15 +438,16 @@ def _singular_values(matrix: np.ndarray, mass: float) -> np.ndarray:
             block -= matrix[start:start + _RESIDUAL_ROWS]
             discarded += float(np.vdot(block, block).real)
         ratio = discarded / mass
+        # Freed before the next sample or the SVD allocates: held across a
+        # full SVD, they add ~5 MB to peak memory at n ~ 1000.
+        del sample, basis, block
         if ratio <= _DISCARD_FLOOR:
             matrix = projection
             break
+        del projection
         # The residual fell as ratio**(1/k) per sampled column; take as
         # many columns as reach the floor at that rate.
         k = math.ceil(k * math.log(_DISCARD_FLOOR) / math.log(ratio)) if ratio < 1.0 else columns
-        # Freed before the next sample or the full SVD allocates: held
-        # across it, they add ~5 MB to peak memory at n ~ 1000.
-        del sample, basis, projection, block
     return np.linalg.svd(matrix, compute_uv=False)
 
 

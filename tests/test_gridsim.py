@@ -356,6 +356,18 @@ def geometric_matrix(n, xi, seed=0):
     return (left * xi ** (0.5 * np.arange(n))) @ right.T
 
 
+def matrix_outside_the_first_sample(n, fraction, seed=0):
+    """An n x n matrix whose first 32-column sample spans its first 32
+    rows, and whose other rows, zero in the sampled columns, hold
+    ``fraction`` of the mass: the mass the first projection leaves out."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal((n, n))
+    matrix[32:] *= np.sqrt(fraction / (1.0 - fraction) * np.sum(matrix[:32] ** 2)
+                           / np.sum(matrix[32:] ** 2))
+    matrix[32:, (2 * np.arange(32) + 1) * n // 64] = 0.0
+    return matrix
+
+
 class TestCertifiedSpectrum:
     """The Schmidt SVD of a low-rank state runs on Q^H A, certified to
     leave out at most 1e-16 of the mass; other states keep the full SVD."""
@@ -394,6 +406,19 @@ class TestCertifiedSpectrum:
         weights = _singular_values(matrix, float(np.vdot(matrix, matrix))) ** 2
         assert len(calls["qr"]) == 2 and calls["qr"][0] == 32 < calls["qr"][1] <= 128
         assert calls["svd"] == [(calls["qr"][1], 512)]
+        assert_weights_match_full_svd(matrix, weights / weights.sum())
+
+    @pytest.mark.parametrize("fraction, accepted", [(0.5e-16, True), (2e-16, False)])
+    def test_first_sample_is_accepted_only_below_the_floor(self, monkeypatch, fraction, accepted):
+        # The 32 sampled columns lie in the first 32 rows, so the projection
+        # on them leaves out exactly the mass of the other rows.
+        matrix = matrix_outside_the_first_sample(256, fraction)
+        mass = float(np.vdot(matrix, matrix))
+        assert np.sum(matrix[32:] ** 2) / mass == pytest.approx(fraction, rel=0.05)
+        calls = linalg_spy(monkeypatch)
+        weights = _singular_values(matrix, mass) ** 2
+        assert (calls == {"qr": [32], "svd": [(32, 256)]}) == accepted
+        assert calls["qr"][0] == 32
         assert_weights_match_full_svd(matrix, weights / weights.sum())
 
     def test_oracle_check_svd_gets_a_short_matrix(self, monkeypatch, capsys):
