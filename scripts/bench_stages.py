@@ -18,14 +18,17 @@ stamp of ``perfbench/run.py``.  Per side it records
   the estimated collision time t_c and at 2.5 t_c, and of the default
   ``oracle-check`` state at n = 512 and 1024, into sampling (through the
   public samplers, so it includes the sampler's own norm check), norm
-  check and Schmidt entropy;
-* for each of those states, what the Schmidt stage hands LAPACK, read by
-  wrapping ``numpy.linalg.qr`` and ``numpy.linalg.svd``: the column
-  count of every range sample it tries, the shape and dtype of the
-  matrix the SVD gets, and ``k``, the sample the SVD's input was
-  projected on, or "full" when the SVD gets the state's matrix itself.
+  check and Schmidt spectrum;
+* for each of those states, what the Schmidt stage hands LAPACK, read
+  from the ``gridsim.schmidt_spectrum`` record of its last timed call:
+  the column count of every range sample tried, the shape of the matrix
+  left after the support trim, the dtype of the amplitudes, and ``k``,
+  the sample the SVD's input was projected on, or "full" when the SVD
+  gets the kept matrix itself.
 
-Times are medians over all samples; the samples are kept too.
+Times are medians over all samples; the samples are kept too.  Both
+sides run this script's ``measure``, so OTHER_CHECKOUT's ``gridsim``
+must have ``schmidt_spectrum``.
 """
 
 from __future__ import annotations
@@ -70,41 +73,15 @@ def _median_of(fn, repeats):
     return statistics.median(samples), result
 
 
-def _lapack_inputs(schmidt_entropy, wave) -> dict:
-    """What one ``schmidt_entropy(wave)`` call hands ``numpy.linalg``."""
-    import numpy as np
-
-    samples, inputs = [], []
-    qr, svd = np.linalg.qr, np.linalg.svd
-
-    def qr_spy(a, *args, **kwargs):
-        samples.append(a.shape[1])
-        return qr(a, *args, **kwargs)
-
-    def svd_spy(a, *args, **kwargs):
-        inputs.append((list(a.shape), str(a.dtype)))
-        return svd(a, *args, **kwargs)
-
-    np.linalg.qr, np.linalg.svd = qr_spy, svd_spy
-    try:
-        schmidt_entropy(wave)
-    finally:
-        np.linalg.qr, np.linalg.svd = qr, svd
-    (shape, dtype), = inputs
-    # A projected input has as many rows as the last sample has columns;
-    # a sample is tried only on a matrix at least four times its size.
-    projected = bool(samples) and shape[0] == samples[-1]
-    return {"samples": samples, "svd_input": shape, "dtype": dtype,
-            "k": samples[-1] if projected else "full"}
-
-
 def _split(gridsim, sample) -> tuple[dict, dict]:
     """Stage times of one sampled state, and its LAPACK inputs."""
     sampling, wave = _median_of(sample, SPLIT_REPEATS)
     norm, _ = _median_of(wave.norm, SPLIT_REPEATS)
-    schmidt, _ = _median_of(lambda: gridsim.schmidt_entropy(wave), SPLIT_REPEATS)
+    schmidt, spectrum = _median_of(lambda: gridsim.schmidt_spectrum(wave), SPLIT_REPEATS)
     times = {"sampling": sampling, "norm": norm, "schmidt": schmidt}
-    return times, _lapack_inputs(gridsim.schmidt_entropy, wave)
+    return times, {"samples": list(spectrum.samples), "kept": list(spectrum.kept_shape),
+                   "dtype": str(wave.amplitudes.dtype),
+                   "k": spectrum.samples[-1] if spectrum.projected else "full"}
 
 
 def measure() -> dict:

@@ -35,22 +35,7 @@ local unitary that leaves the Schmidt spectrum alone, so
 multiplies the plane wave back in before subtracting g_t from f_t.  The
 envelope is formed from grid-relative offsets x - c, so no number of the
 size of |x| enters its exponent, and at t = 0, where both w_i are real,
-it is a real float64 matrix and its SVD runs real.  Before the SVD,
-``schmidt_entropy`` drops the rows and columns holding at most 1e-32 of
-the mass (``_SUPPORT_FLOOR``); losing a mass fraction delta moves each
-Schmidt weight w by at most 2 sqrt(w delta) + delta, below the 1e-14
-weight floor for n <= 1024.  The reflected state fills its own box, so
-``oracle-check``'s matrix is never trimmed.
-
-A two-mode Gaussian's Schmidt weights fall off geometrically, so the
-matrix A left after the trim often has a numerical rank far below its
-size.  The SVD then gets B = Q^H A, Q an orthonormal basis of k evenly
-spaced columns of A, once ||A - Q B||_F^2 is found to be at most 1e-16 of
-the mass (``_DISCARD_FLOOR``): no Schmidt weight moves by more than that.
-The first sample has 32 columns; a failed check sizes a new sample from
-the residual's decay, and once k would pass a quarter of A's smaller
-side, A itself goes to the SVD, as a mid-bounce state's does.  This costs
-about n^2 k instead of n^3 on a low-rank state.
+it is a real float64 matrix and its SVD runs real.
 
 Each sampler is pure per call; independent grids and time points may be
 evaluated concurrently.
@@ -78,6 +63,8 @@ __all__ = [
     "free_state",
     "reflected_state",
     "collision_state",
+    "SchmidtSpectrum",
+    "schmidt_spectrum",
     "schmidt_entropy",
     "transient_curve",
 ]
@@ -98,15 +85,18 @@ _WEIGHT_FLOOR = 1e-14
 # below the weight floor for n <= 1024, and far below the ~2e-9 the
 # COVERAGE box itself cuts at any n.
 _SUPPORT_FLOOR = 1e-32
-# The Schmidt SVD may get Q^H A, Q orthonormal, in place of A when the
-# mass it leaves out, ||A - Q Q^H A||_F^2, is at most this fraction of the
-# total.  Then sigma_i(Q^H A) <= sigma_i(A) and sum(sigma_i^2 - sigma~_i^2)
-# is that mass, so no weight moves by more than 1e-16: far below the
-# 1e-14 weight floor.
+# The Schmidt SVD may get B = Q^H A, Q orthonormal, in place of A when the
+# mass it leaves out, ||A - Q B||_F^2, is at most this fraction of the
+# total.  Then sigma_i(B) <= sigma_i(A) and sum(sigma_i^2 - sigma~_i^2) is
+# that mass, so no weight moves by more than 1e-16: far below the 1e-14
+# weight floor.
 _DISCARD_FLOOR = 1e-16
 # Columns in the first range sample, and rows per block of the residual.
 _FIRST_SAMPLE = 32
 _RESIDUAL_ROWS = 128
+# Range samples tried before A itself goes to the SVD.  A restart is sized
+# as if the residual fell geometrically, which after the bounce it does not.
+_MAX_SAMPLES = 2
 
 _MIN_POINTS = 64
 
@@ -404,6 +394,25 @@ def collision_state(
     return _sample(params, t, grid_n, "both", "the collision state", _collision_amplitudes)
 
 
+@dataclass(frozen=True)
+class SchmidtSpectrum:
+    """The Schmidt weights of a sampled state, renormalized to unit sum,
+    above ``_WEIGHT_FLOOR`` and largest first; the matrix shape left by
+    the ``_SUPPORT_FLOOR`` trim; the column counts of the range samples
+    tried, in order; and whether the SVD got the projection on the last
+    one (``_DISCARD_FLOOR``) rather than the kept matrix itself."""
+
+    weights: np.ndarray
+    kept_shape: tuple[int, int]
+    samples: tuple[int, ...]
+    projected: bool
+
+    @property
+    def entropy(self) -> float:
+        """-sum w log2 w over the weights, in bits."""
+        return max(0.0, float(-(self.weights * np.log2(self.weights)).sum()))
+
+
 def _support(amplitudes: np.ndarray) -> tuple[np.ndarray, float]:
     """The rows and columns of ``amplitudes`` whose share of the mass
     exceeds ``_SUPPORT_FLOOR`` (the array itself, uncopied, when that is
@@ -419,14 +428,16 @@ def _support(amplitudes: np.ndarray) -> tuple[np.ndarray, float]:
     return amplitudes[np.ix_(keep_rows, keep_columns)], mass
 
 
-def _singular_values(matrix: np.ndarray, mass: float) -> np.ndarray:
+def _singular_values(matrix: np.ndarray, mass: float) -> tuple[np.ndarray, tuple[int, ...], bool]:
     """Singular values of A = ``matrix``, whose |entries|^2 sum to at most
-    ``mass``: those of B = Q^H A, Q from one QR of k columns of A, once
-    ||A - Q B||_F^2 is at most ``_DISCARD_FLOOR`` of the mass, else, when
-    k would pass a quarter of A's smaller side, those of A itself."""
+    ``mass``, the range samples tried and whether the values are those of
+    the projection on the last (see ``SchmidtSpectrum``).  A itself goes to
+    the SVD after ``_MAX_SAMPLES`` samples, or once k would pass a quarter
+    of A's smaller side."""
     rows, columns = matrix.shape
-    k = _FIRST_SAMPLE
-    while 4 * k <= min(rows, columns):
+    samples, k = [], _FIRST_SAMPLE
+    while len(samples) < _MAX_SAMPLES and 4 * k <= min(rows, columns):
+        samples.append(k)
         # The middle column of each of k equal strips.
         sample = matrix[:, (2 * np.arange(k) + 1) * columns // (2 * k)]
         basis = np.linalg.qr(sample)[0]
@@ -442,40 +453,29 @@ def _singular_values(matrix: np.ndarray, mass: float) -> np.ndarray:
         # full SVD, they add ~5 MB to peak memory at n ~ 1000.
         del sample, basis, block
         if ratio <= _DISCARD_FLOOR:
-            matrix = projection
-            break
+            return np.linalg.svd(projection, compute_uv=False), tuple(samples), True
         del projection
         # The residual fell as ratio**(1/k) per sampled column; take as
         # many columns as reach the floor at that rate.
         k = math.ceil(k * math.log(_DISCARD_FLOOR) / math.log(ratio)) if ratio < 1.0 else columns
-    return np.linalg.svd(matrix, compute_uv=False)
+    return np.linalg.svd(matrix, compute_uv=False), tuple(samples), False
+
+
+def schmidt_spectrum(wave: WaveGrid) -> SchmidtSpectrum:
+    """The Schmidt spectrum of ``wave``, after its grid norm check.  The trim
+    and the projection its SVD gets move each weight by no more than
+    ``_SUPPORT_FLOOR`` and ``_DISCARD_FLOOR`` allow."""
+    _check_norm(wave, "the input state")
+    kept, mass = _support(wave.amplitudes)
+    singular, samples, projected = _singular_values(kept, mass)
+    weights = singular**2 * (wave.grid.dx1 * wave.grid.dx2)
+    weights = weights / weights.sum()
+    return SchmidtSpectrum(weights[weights > _WEIGHT_FLOOR], kept.shape, samples, projected)
 
 
 def schmidt_entropy(wave: WaveGrid) -> float:
-    """Entanglement entropy in bits from the discretized Schmidt spectrum.
-
-    The singular values of the amplitude matrix scaled by sqrt(dx1 dx2)
-    square to the Schmidt weights; after renormalizing them to unit sum
-    (and dropping weights below 1e-14, which are numerical noise) the
-    entropy is -sum w log2 w.
-
-    Rows and columns holding at most 1e-32 of the mass are dropped before
-    the SVD; that moves no weight by as much as the 1e-14 floor for
-    n <= 1024 (see ``_SUPPORT_FLOOR``).  Mostly these are the wall-masked
-    half of a collision state's box away from the collision; a reflected
-    state's box already fits, so its matrix goes to the SVD untrimmed.
-
-    The SVD gets the projection of the kept matrix on k of its own columns
-    when that leaves out at most 1e-16 of the mass, which moves no weight
-    by more than 1e-16 (see ``_DISCARD_FLOOR``); it gets the kept matrix
-    itself when no sample of up to a quarter of its smaller side does.
-    """
-    _check_norm(wave, "the input state")
-    singular = _singular_values(*_support(wave.amplitudes))
-    weights = singular**2 * (wave.grid.dx1 * wave.grid.dx2)
-    weights = weights / weights.sum()
-    weights = weights[weights > _WEIGHT_FLOOR]
-    return max(0.0, float(-(weights * np.log2(weights)).sum()))
+    """Entanglement entropy in bits: ``schmidt_spectrum(wave).entropy``."""
+    return schmidt_spectrum(wave).entropy
 
 
 def transient_curve(

@@ -25,7 +25,7 @@ from hcscatter.ellipse import (
     scattered_form,
     stretch_polynomial,
 )
-from hcscatter.gridsim import reflected_state, schmidt_entropy, transient_curve
+from hcscatter.gridsim import reflected_state, schmidt_spectrum, transient_curve
 from hcscatter.scattering import ScatterParams
 from oracles import (
     assemble,
@@ -129,14 +129,15 @@ def test_criterion_3_oracle_equivalence():
             ratio = float(rng.uniform(1.0, 20.0))
             params = ScatterParams(mu1, 1.0 - mu1, ratio**2, 1.0, core_radius=0.5)
             e = d_minus_half(params.fractions, ratio**2, 1.0)
-            wave = reflected_state(params, grid_n=512)
-            assert abs(schmidt_entropy(wave) - entropy_from_d_minus_half(e)) <= 1e-3
+            spectrum = schmidt_spectrum(reflected_state(params, grid_n=512))
+            assert abs(spectrum.entropy - entropy_from_d_minus_half(e)) <= 1e-3
 
-            # The whole spectrum: a two-mode Gaussian pure state has the
-            # geometric Schmidt weights (1 - xi) xi^k, xi = e / (1 + e),
-            # and Schmidt number 1 / sum(lambda^2) = 2 d = 1 + 2 e.
-            weights = np.linalg.svd(wave.amplitudes, compute_uv=False) ** 2
-            weights /= weights.sum()
+            # The whole spectrum the library certifies: a two-mode Gaussian
+            # pure state has the geometric Schmidt weights (1 - xi) xi^k,
+            # xi = e / (1 + e), and Schmidt number 1 / sum(lambda^2) =
+            # 2 d = 1 + 2 e.  The weights below the 1e-14 floor count as 0.
+            weights = np.zeros(512)
+            weights[:spectrum.weights.size] = spectrum.weights
             xi = e / (1.0 + e)
             geometric = (1.0 - xi) * xi ** np.arange(weights.size)
             assert np.max(np.abs(weights - geometric)) <= 1e-8

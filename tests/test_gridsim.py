@@ -3,21 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from hcscatter.cli import main as cli_main
 from hcscatter.covariance import MassFractions, d_minus_half, entropy_from_d_minus_half
 from hcscatter.gridsim import (
     CoverageError,
     GridSpec,
     WaveGrid,
     _image_envelope,
-    _singular_values,
-    _support,
     auto_grid,
     collision_state,
     free_evolve_packet,
     free_state,
     reflected_state,
     schmidt_entropy,
+    schmidt_spectrum,
     transient_curve,
 )
 from hcscatter.scattering import ScatterParams
@@ -292,13 +290,10 @@ class TestSchmidtEntropy:
     @pytest.mark.parametrize("params", TRANSIENT_SCENARIOS)
     def test_support_trim_drops_the_empty_rows(self, params):
         # Before contact the wall mask leaves most of the union box empty;
-        # the reflected state's own box fits and is passed on uncopied.
-        wave = collision_state(params, 0.0, grid_n=256)
-        kept, mass = _support(wave.amplitudes)
-        assert kept.shape[0] < wave.grid.n and kept.shape[1] < wave.grid.n
-        assert mass == pytest.approx(wave.norm() / (wave.grid.dx1 * wave.grid.dx2), rel=1e-13)
-        reflected = reflected_state(params, grid_n=256).amplitudes
-        assert _support(reflected)[0] is reflected
+        # the reflected state's own box fits and is kept whole.
+        rows, columns = schmidt_spectrum(collision_state(params, 0.0, grid_n=256)).kept_shape
+        assert rows < 256 and columns < 256
+        assert schmidt_spectrum(reflected_state(params, grid_n=256)).kept_shape == (256, 256)
 
     def test_free_evolution_leaves_entropy_alone(self):
         params = ScatterParams(1.0, 3.0, 16.0, 1.0, momentum=4.0, core_radius=0.5)
@@ -309,51 +304,36 @@ class TestSchmidtEntropy:
         assert max(entropies) - min(entropies) <= 2e-3
 
 
-def linalg_spy(monkeypatch):
-    """Record the column count of every matrix ``np.linalg.qr`` gets and
-    the shape of every matrix ``np.linalg.svd`` gets, in call order."""
-    calls = {"qr": [], "svd": []}
-    qr, svd = np.linalg.qr, np.linalg.svd
-
-    def qr_spy(a, *args, **kwargs):
-        calls["qr"].append(a.shape[1])
-        return qr(a, *args, **kwargs)
-
-    def svd_spy(a, *args, **kwargs):
-        calls["svd"].append(a.shape)
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", qr_spy)
-    monkeypatch.setattr(np.linalg, "svd", svd_spy)
-    return calls
+def unit_wave(matrix):
+    """``matrix`` scaled to unit grid norm on a grid of unit spacing."""
+    n = matrix.shape[0]
+    return WaveGrid(matrix / np.linalg.norm(matrix), GridSpec(0.0, n - 1.0, 0.0, n - 1.0, n))
 
 
-def library_weights(amplitudes):
-    """The support kept for the SVD and the Schmidt weights the library
-    takes from it, largest first."""
-    kept, mass = _support(amplitudes)
-    weights = _singular_values(kept, mass) ** 2
-    return kept, weights / weights.sum()
+def checked_spectrum(wave):
+    """``schmidt_spectrum(wave)``, each of its weights checked to lie within
+    1e-16 (the projection's certified bound) of the full SVD's, plus 10 eps
+    of the largest weight for the rounding of the two SVDs: the full SVD of
+    the transposed matrix alone differs from the full SVD by up to 3 eps of
+    it on these states.  The weights the record leaves out must be those of
+    the full SVD below the 1e-14 floor."""
+    spectrum = schmidt_spectrum(wave)
+    full = schmidt_weights(wave.amplitudes)
+    tolerance = 1e-16 + 10.0 * np.finfo(float).eps * full[0]
+    kept = len(spectrum.weights)
+    assert np.abs(spectrum.weights - full[:kept]).max() <= tolerance
+    assert full[kept:].max(initial=0.0) <= 1e-14 + tolerance
+    return spectrum
 
 
-def assert_weights_match_full_svd(kept, weights):
-    """Each weight within 1e-16 (the projection's certified bound) of the
-    full SVD's, plus 10 eps of the largest weight for the rounding of the
-    two SVDs: the full SVD of the transposed matrix alone differs from the
-    full SVD by up to 3 eps of it on these states."""
-    full = schmidt_weights(kept)
-    padded = np.zeros_like(full)
-    padded[:len(weights)] = weights
-    assert np.abs(padded - full).max() <= 1e-16 + 10.0 * np.finfo(float).eps * full[0]
-
-
-def geometric_matrix(n, xi, seed=0):
-    """An n x n matrix with random singular vectors and Schmidt weights
-    proportional to xi**k."""
+def spectrum_matrix(weights, seed=0):
+    """A square matrix with random singular vectors and Schmidt weights
+    proportional to ``weights``."""
+    n = len(weights)
     rng = np.random.default_rng(seed)
     left = np.linalg.qr(rng.standard_normal((n, n)))[0]
     right = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    return (left * xi ** (0.5 * np.arange(n))) @ right.T
+    return (left * np.sqrt(weights)) @ right.T
 
 
 def matrix_outside_the_first_sample(n, fraction, seed=0):
@@ -377,62 +357,60 @@ class TestCertifiedSpectrum:
     @pytest.mark.parametrize("params", TRANSIENT_SCENARIOS)
     def test_collision_spectrum_matches_the_full_svd(self, params, t_over_tc, n):
         wave = collision_state(params, t_over_tc * collision_time(params), grid_n=n)
-        assert_weights_match_full_svd(*library_weights(wave.amplitudes))
-        assert abs(schmidt_entropy(wave) - full_svd_entropy(wave)) <= 1e-13
+        spectrum = checked_spectrum(wave)
+        assert schmidt_entropy(wave) == spectrum.entropy
+        assert abs(spectrum.entropy - full_svd_entropy(wave)) <= 1e-13
 
     @pytest.mark.parametrize("n", [256, 512])
     def test_reference_spectrum_matches_the_full_svd(self, reference_params, n):
         wave = reflected_state(reference_params, grid_n=n)
-        kept, weights = library_weights(wave.amplitudes)
-        assert len(weights) < n // 4
-        assert_weights_match_full_svd(kept, weights)
-        assert abs(schmidt_entropy(wave) - full_svd_entropy(wave)) <= 1e-13
+        spectrum = checked_spectrum(wave)
+        assert len(spectrum.weights) < n // 4
+        assert schmidt_entropy(wave) == spectrum.entropy
+        assert abs(spectrum.entropy - full_svd_entropy(wave)) <= 1e-13
 
-    def test_slow_decay_falls_back_to_the_full_svd(self, monkeypatch):
+    def test_oracle_check_svd_gets_a_short_matrix(self, reference_params):
+        # The oracle-check default state (its momentum only moves the
+        # split-off plane wave).
+        spectrum = schmidt_spectrum(reflected_state(reference_params, grid_n=512))
+        assert spectrum.projected and spectrum.samples[-1] < 128
+
+    def test_slow_decay_falls_back_to_the_full_svd(self):
         # At xi = 0.97 the first 32 columns leave 59% of the mass out; the
         # sample that decay asks for, ~2200 columns, is past n/4, so A
         # itself goes to the SVD.
-        matrix = geometric_matrix(512, 0.97)
-        calls = linalg_spy(monkeypatch)
-        weights = _singular_values(matrix, float(np.vdot(matrix, matrix))) ** 2
-        assert calls == {"qr": [32], "svd": [(512, 512)]}
-        assert_weights_match_full_svd(matrix, weights / weights.sum())
+        spectrum = checked_spectrum(unit_wave(spectrum_matrix(0.97 ** np.arange(512))))
+        assert (spectrum.samples, spectrum.projected) == ((32,), False)
 
-    def test_fast_decay_restarts_with_a_larger_sample(self, monkeypatch):
+    def test_failed_restart_falls_back_to_the_full_svd(self):
+        # Weights that halve for 32 indices, then fall by only 0.8 per
+        # index: the first sample sizes a restart of 64 columns, which
+        # leaves ~1e-12 of the mass out.  A third sample is not tried.
+        weights = np.concatenate([0.5 ** np.arange(32), 0.5**32 * 0.8 ** np.arange(480)])
+        spectrum = checked_spectrum(unit_wave(spectrum_matrix(weights)))
+        assert (spectrum.samples, spectrum.projected) == ((32, 64), False)
+
+    def test_fast_decay_restarts_with_a_larger_sample(self):
         # At xi = 0.6, 32 columns leave ~1e-6 of the mass out; the decay
         # sizes one new sample, which passes.
-        matrix = geometric_matrix(512, 0.6)
-        calls = linalg_spy(monkeypatch)
-        weights = _singular_values(matrix, float(np.vdot(matrix, matrix))) ** 2
-        assert len(calls["qr"]) == 2 and calls["qr"][0] == 32 < calls["qr"][1] <= 128
-        assert calls["svd"] == [(calls["qr"][1], 512)]
-        assert_weights_match_full_svd(matrix, weights / weights.sum())
+        spectrum = checked_spectrum(unit_wave(spectrum_matrix(0.6 ** np.arange(512))))
+        assert spectrum.projected and len(spectrum.samples) == 2
+        assert spectrum.samples[0] == 32 < spectrum.samples[1] <= 128
 
     @pytest.mark.parametrize("fraction, accepted", [(0.5e-16, True), (2e-16, False)])
-    def test_first_sample_is_accepted_only_below_the_floor(self, monkeypatch, fraction, accepted):
+    def test_first_sample_is_accepted_only_below_the_floor(self, fraction, accepted):
         # The 32 sampled columns lie in the first 32 rows, so the projection
         # on them leaves out exactly the mass of the other rows.
         matrix = matrix_outside_the_first_sample(256, fraction)
-        mass = float(np.vdot(matrix, matrix))
-        assert np.sum(matrix[32:] ** 2) / mass == pytest.approx(fraction, rel=0.05)
-        calls = linalg_spy(monkeypatch)
-        weights = _singular_values(matrix, mass) ** 2
-        assert (calls == {"qr": [32], "svd": [(32, 256)]}) == accepted
-        assert calls["qr"][0] == 32
-        assert_weights_match_full_svd(matrix, weights / weights.sum())
+        assert np.sum(matrix[32:] ** 2) / np.sum(matrix**2) == pytest.approx(fraction, rel=0.05)
+        spectrum = checked_spectrum(unit_wave(matrix))
+        assert spectrum.samples[0] == 32
+        assert (spectrum.samples == (32,) and spectrum.projected) == accepted
 
-    def test_oracle_check_svd_gets_a_short_matrix(self, monkeypatch, capsys):
-        calls = linalg_spy(monkeypatch)
-        assert cli_main(["oracle-check", "--grid-n", "512"]) == 0
-        assert len(calls["svd"]) == 1 and calls["svd"][0][0] < 128
-        assert capsys.readouterr().err == ""
-
-    def test_mid_bounce_state_gets_the_full_svd(self, monkeypatch):
+    def test_mid_bounce_state_gets_the_full_svd(self):
         params = TRANSIENT_SCENARIOS[0]
-        wave = collision_state(params, collision_time(params), grid_n=512)
-        calls = linalg_spy(monkeypatch)
-        schmidt_entropy(wave)
-        assert calls["svd"] == [_support(wave.amplitudes)[0].shape]
+        spectrum = schmidt_spectrum(collision_state(params, collision_time(params), grid_n=512))
+        assert not spectrum.projected
 
 
 class TestCollisionState:
