@@ -27,8 +27,8 @@ stamp of ``perfbench/run.py``.  Per side it records
   gets the kept matrix itself.
 
 Times are medians over all samples; the samples are kept too.  Both
-sides run this script's ``measure``, so OTHER_CHECKOUT's ``gridsim``
-must have ``schmidt_spectrum``.
+sides run this script's ``measure``, so OTHER_CHECKOUT must have
+``gridsim.schmidt_spectrum`` and ``ScatterParams.collision_time``.
 """
 
 from __future__ import annotations
@@ -94,8 +94,7 @@ def measure() -> dict:
         record["warm_call_s"][mode] = [_call(cli.main, mode) for _ in range(WARM_CALLS)]
 
     params = cli._resolve("transient", {}, {}).params
-    separation = params.q1 + params.q2 - params.core_radius
-    t_c = separation * params.mass1 * params.mass2 / params.momentum
+    t_c = params.collision_time
     states = {
         f"transient n={TRANSIENT_N} {label}":
             lambda t=factor * t_c: gridsim.collision_state(params, t, grid_n=TRANSIENT_N)

@@ -133,6 +133,8 @@ def _resolve(mode: str, flags: dict, file_values: dict) -> SweepConfig:
         if not math.isfinite(sigma2_sq):
             raise ValueError(f"sigma2_sq must be finite, got {sigma2_sq}")
         sigma1_sq = ratio**2 * sigma2_sq
+        if ratio**2 < sys.float_info.min:  # a subnormal square has lost digits
+            sigma1_sq = ratio * (ratio * sigma2_sq)
         if sigma1_sq == 0.0 < sigma2_sq:
             raise ValueError(f"width ratio {ratio} is too small: ratio**2 * sigma2_sq underflows")
         if math.isinf(sigma1_sq):
@@ -247,8 +249,8 @@ def run_ellipse(cfg: SweepConfig) -> dict:
     if math.isinf(max(initial.area, exact.area)):
         raise ValueError(f"ellipse area overflows, got sigma1_sq={s1}, sigma2_sq={s2}")
     approx = approx_final_ellipse(mu.mu1, sigma1, sigma2)
-    if sigma1 / sigma2 < 10.0:
-        print(f"warning: width ratio {sigma1 / sigma2:.3g} is below 10; the wide-packet "
+    if params.width_ratio < 10.0:
+        print(f"warning: width ratio {params.width_ratio:.3g} is below 10; the wide-packet "
               "approximation degrades", file=sys.stderr)
     return {
         "mu1": mu.mu1,
@@ -278,8 +280,7 @@ def run_transient(cfg: SweepConfig) -> dict:
     """
     from .gridsim import COVERAGE, transient_curve
     params = cfg.params
-    reduced_mass = params.mass1 * params.mass2
-    t_collision = (params.q1 + params.q2 - params.core_radius) * reduced_mass / params.momentum
+    t_collision = params.collision_time
     t_start = 0.0 if cfg.t_start is None else cfg.t_start
     t_stop = 2.5 * t_collision if cfg.t_stop is None else cfg.t_stop
     if not math.isfinite(t_stop - t_start):

@@ -51,8 +51,8 @@ class ScatterParams:
     ``mu.mu1, mu.mu2``; they are kept as given, so ``delta`` is not formed
     again from the rounded ``mu2``.  Times fed to the grid
     simulator are therefore measured in the matching unit.  Every number
-    must be finite, the widths and their ratio normal floats, and the
-    momentum at most 1e154.
+    must be finite, the widths normal floats, and the momentum at most
+    1e154.
 
     ``q1``/``q2`` default to ``8 * max(sigma1, sigma2) + core_radius`` so
     that the initial packets overlap neither each other nor the core; when
@@ -86,13 +86,11 @@ class ScatterParams:
                 f"widths must be positive, got sigma1_sq={self.sigma1_sq}, "
                 f"sigma2_sq={self.sigma2_sq}"
             )
-        # Subnormal widths, or a ratio that under- or overflows, have lost
-        # their digits before the closed form sees them.
-        ratio = self.sigma1_sq / self.sigma2_sq
-        if min(self.sigma1_sq, self.sigma2_sq, ratio) < sys.float_info.min or math.isinf(ratio):
+        # Subnormal widths have lost their digits before the closed form sees them.
+        if min(self.sigma1_sq, self.sigma2_sq) < sys.float_info.min:
             raise ValueError(
-                f"width ratio out of range: sigma1_sq, sigma2_sq and their ratio must be "
-                f"normal floats, got sigma1_sq={self.sigma1_sq}, sigma2_sq={self.sigma2_sq}"
+                f"widths must be normal floats, got sigma1_sq={self.sigma1_sq}, "
+                f"sigma2_sq={self.sigma2_sq}"
             )
         if self.momentum <= 0.0:
             raise ValueError(
@@ -120,8 +118,16 @@ class ScatterParams:
 
     @property
     def width_ratio(self) -> float:
-        """sigma1 / sigma2 (widths, not squared widths)."""
-        return math.sqrt(self.sigma1_sq / self.sigma2_sq)
+        """sigma1 / sigma2 (widths, not squared widths); finite for any two normal widths."""
+        quotient = self.sigma1_sq / self.sigma2_sq
+        if sys.float_info.min <= quotient < math.inf:
+            return math.sqrt(quotient)
+        return math.sqrt(self.sigma1_sq) / math.sqrt(self.sigma2_sq)
+
+    @property
+    def collision_time(self) -> float:
+        """Estimated collision time: q1 + q2 - a over the relative velocity K / (m1 m2)."""
+        return (self.q1 + self.q2 - self.core_radius) * (self.mass1 * self.mass2) / self.momentum
 
 
 def is_zero_entanglement(params: ScatterParams) -> ZeroEntanglementClass:

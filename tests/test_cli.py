@@ -33,6 +33,12 @@ GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 NARROW_WARNING = (
     "warning: width ratio 1.5 is below 10; the wide-packet approximation degrades\n"
 )
+# Two normal widths whose ratio squared is not a normal float, on every flag path.
+EXTREME_RATIOS = [
+    ["--sigma1-sq", "1e300", "--sigma2-sq", "1e-300"],
+    ["--sigma1-sq", "1e-300", "--sigma2-sq", "1e300"],
+    ["--ratio", "1e-200", "--sigma2-sq", "1e300"],
+]
 
 
 class TestParser:
@@ -174,8 +180,8 @@ class TestSingle:
         "widths",
         [
             ["--ratio", "1e-160"],
-            ["--sigma1-sq", "1e300", "--sigma2-sq", "1e-300"],
-            ["--sigma1-sq", "1e-300", "--sigma2-sq", "1e300"],
+            ["--sigma1-sq", "1e-310"],
+            ["--sigma1-sq", "1e300", "--sigma2-sq", "1e-320"],
             ["--sigma2-sq", "1e-320"],
         ],
     )
@@ -185,8 +191,24 @@ class TestSingle:
         assert main([mode, *widths]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: width ratio out of range: ")
+        assert captured.err.startswith("error: widths must be normal floats, got sigma1_sq=")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", ["single", "sweep-mu", "ellipse"])
+    @pytest.mark.parametrize("widths", EXTREME_RATIOS)
+    def test_any_two_normal_widths_run(self, mode, widths, capsys):
+        assert main([mode, *widths, "--points", "3", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        json.loads(captured.out, parse_constant=lambda name: pytest.fail(f"{name} printed"))
+        assert all(line.startswith("warning: ") for line in captured.err.splitlines())
+
+    @pytest.mark.parametrize("mode", ["oracle-check", "transient"])
+    @pytest.mark.parametrize("widths", EXTREME_RATIOS)
+    def test_no_grid_holds_an_extreme_width_ratio(self, mode, widths, capsys):
+        assert main([mode, *widths, "--grid-n", "64", "--points", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("mode", ["single", "sweep-mu", "ellipse"])
     @pytest.mark.parametrize("widths", [["--ratio", "1e-300"],
@@ -318,6 +340,21 @@ class TestEllipse:
         assert record["approx_semi_major"] >= record["approx_semi_minor"]
         assert record["final_area"] == pytest.approx(record["initial_area"], rel=1e-15)
 
+    def test_warning_follows_the_width_ratio(self, capsys):
+        # sigma1_sq = ratio**2 * sigma2_sq is rounded, so sqrt(s1) / sqrt(s2)
+        # can fall just below a ratio of 10 that width_ratio keeps.
+        split = 0
+        for ratio in (math.nextafter(10.0, 0.0), 10.0, math.nextafter(10.0, 20.0)):
+            for sigma2_sq in [8.371, *np.linspace(0.1, 100.0, 200).tolist()]:
+                flags = {"ratio": ratio, "sigma2_sq": sigma2_sq}
+                params = _resolve("ellipse", flags, {}).params
+                assert main(["ellipse", "--ratio", repr(ratio), "--sigma2-sq", repr(sigma2_sq),
+                             "--points", "1"]) == 0
+                assert (capsys.readouterr().err != "") == (params.width_ratio < 10.0), flags
+                sigma1, sigma2 = math.sqrt(params.sigma1_sq), math.sqrt(params.sigma2_sq)
+                split += sigma1 / sigma2 < 10.0 <= params.width_ratio
+        assert split > 0
+
     def test_warning_is_the_same_line_on_every_call(self, capsys):
         errors = []
         for _ in range(2):
@@ -397,6 +434,17 @@ class TestTransient:
         default = capsys.readouterr().out
         assert main([*argv, *masses]) == 0
         assert capsys.readouterr().out == default
+
+    # At mu1 0.3, separation * m1 * m2 / K would be one ulp below the meta's 3.38625.
+    @pytest.mark.parametrize("scenario", [{}, {"mu1": 0.3}])
+    def test_meta_reports_the_collision_time(self, scenario, capsys):
+        argv = [arg for key, value in scenario.items() for arg in ("--" + key, repr(value))]
+        assert main(["transient", *argv, "--grid-n", "64", "--points", "2",
+                     "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        t_c = _resolve("transient", scenario, {}).params.collision_time
+        assert record["meta"]["estimated_collision_time"] == t_c
+        assert record["rows"][-1]["time"] == 2.5 * t_c
 
     def test_default_run_converges_to_asymptote(self, tmp_path):
         # Default scenario is asymmetric; the final row must sit on the
@@ -606,9 +654,7 @@ class TestLinspace:
             self.assert_matches_numpy(0.01, 0.99, count)
 
     def test_default_transient_window(self):
-        params = _resolve("transient", {}, {}).params
-        separation = params.q1 + params.q2 - params.core_radius
-        t_stop = 2.5 * separation * params.mass1 * params.mass2 / params.momentum
+        t_stop = 2.5 * _resolve("transient", {}, {}).params.collision_time
         for count in range(1, 1001):
             self.assert_matches_numpy(0.0, t_stop, count)
 

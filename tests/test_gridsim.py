@@ -45,12 +45,6 @@ def reference_params():
     return ScatterParams(0.25, 0.75, 100.0, 1.0, core_radius=0.5)
 
 
-def collision_time(params):
-    """The transient mode's estimated collision time."""
-    separation = params.q1 + params.q2 - params.core_radius
-    return separation * params.mass1 * params.mass2 / params.momentum
-
-
 def packet_pair(params, t, y1, y2):
     """The scenario's two textbook packets at t, evaluated at (y1, y2)."""
     k = params.momentum
@@ -190,7 +184,7 @@ class TestReflectedState:
         # The image as one envelope exp times the split-off plane wave,
         # against the product of two separately evaluated textbook packets.
         params = TRANSIENT_SCENARIOS[0]
-        t = t_over_tc * collision_time(params)
+        t = t_over_tc * params.collision_time
         wave = state(params, t, grid_n=128)
         x1, x2 = wave.grid.axes()
         expected = textbook_image(params, t, x1, x2)
@@ -284,7 +278,7 @@ class TestSchmidtEntropy:
     @pytest.mark.parametrize("params", TRANSIENT_SCENARIOS)
     @pytest.mark.parametrize("t_over_tc", [0.0, 1.0, 2.5])
     def test_support_trim_changes_no_entropy(self, params, t_over_tc):
-        wave = collision_state(params, t_over_tc * collision_time(params), grid_n=256)
+        wave = collision_state(params, t_over_tc * params.collision_time, grid_n=256)
         assert abs(schmidt_entropy(wave) - full_svd_entropy(wave)) <= 1e-13
 
     @pytest.mark.parametrize("params", TRANSIENT_SCENARIOS)
@@ -356,7 +350,7 @@ class TestCertifiedSpectrum:
     @pytest.mark.parametrize("t_over_tc", [0.0, 1.0, 2.5])
     @pytest.mark.parametrize("params", TRANSIENT_SCENARIOS)
     def test_collision_spectrum_matches_the_full_svd(self, params, t_over_tc, n):
-        wave = collision_state(params, t_over_tc * collision_time(params), grid_n=n)
+        wave = collision_state(params, t_over_tc * params.collision_time, grid_n=n)
         spectrum = checked_spectrum(wave)
         assert schmidt_entropy(wave) == spectrum.entropy
         assert abs(spectrum.entropy - full_svd_entropy(wave)) <= 1e-13
@@ -409,7 +403,7 @@ class TestCertifiedSpectrum:
 
     def test_mid_bounce_state_gets_the_full_svd(self):
         params = TRANSIENT_SCENARIOS[0]
-        spectrum = schmidt_spectrum(collision_state(params, collision_time(params), grid_n=512))
+        spectrum = schmidt_spectrum(collision_state(params, params.collision_time, grid_n=512))
         assert not spectrum.projected
 
 

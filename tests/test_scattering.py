@@ -1,7 +1,11 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hcscatter.covariance import (
     MassFractions,
@@ -61,6 +65,27 @@ class TestScatterParams:
     def test_width_ratio(self):
         assert ScatterParams(1.0, 1.0, 100.0, 1.0).width_ratio == 10.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(*2 * [st.floats(min_value=sys.float_info.min, max_value=sys.float_info.max)])
+    @example(1e300, 1e-300)
+    @example(1e-300, 1e300)
+    @example(2.0**-1022, sys.float_info.max)
+    def test_width_ratio_of_any_two_normal_widths(self, s1, s2):
+        ratio = ScatterParams(1.0, 2.0, s1, s2).width_ratio
+        assert 0.0 < ratio < math.inf
+        quotient = s1 / s2
+        if sys.float_info.min <= quotient < math.inf:
+            assert ratio == math.sqrt(quotient)
+        elif ratio >= sys.float_info.min:
+            # Two square roots and a division, each rounded once.
+            assert abs(Fraction(ratio) ** 2 / (Fraction(s1) / Fraction(s2)) - 1) < 1e-15
+
+    def test_collision_time(self):
+        # Centers 8.5 + 8.5 apart, less the core radius 0.5, over the
+        # relative velocity 2 / (1/4 * 3/4).
+        params = ScatterParams(1.0, 3.0, 0.25, 1.0, momentum=2.0, core_radius=0.5)
+        assert params.collision_time == 16.5 * 0.1875 / 2.0
+
     @pytest.mark.parametrize(
         "kwargs, match",
         [
@@ -81,11 +106,11 @@ class TestScatterParams:
 
     @pytest.mark.parametrize(
         "widths",
-        [(1e-320, 1.0), (1.0, 1e-310), (1e300, 1e-300), (1e-300, 1e300)],
+        [(1e-320, 1.0), (1.0, 1e-310), (1e300, 1e-320), (1e-310, 1e300)],
     )
     def test_rejects_widths_that_are_not_normal_floats(self, widths):
-        # A subnormal width, or a ratio that overflows or underflows.
-        with pytest.raises(ValueError, match="width ratio out of range"):
+        # A subnormal width, however wide its partner.
+        with pytest.raises(ValueError, match="widths must be normal floats, got sigma1_sq="):
             ScatterParams(1.0, 2.0, *widths)
 
     def test_accepts_the_extreme_normal_widths(self):
