@@ -81,10 +81,10 @@ class TestScatterParams:
             assert abs(Fraction(ratio) ** 2 / (Fraction(s1) / Fraction(s2)) - 1) < 1e-15
 
     def test_collision_time(self):
-        # Centers 8.5 + 8.5 apart, less the core radius 0.5, over the
-        # relative velocity 2 / (1/4 * 3/4).
-        params = ScatterParams(1.0, 3.0, 0.25, 1.0, momentum=2.0, core_radius=0.5)
-        assert params.collision_time == 16.5 * 0.1875 / 2.0
+        # Centers 32.5 + 32.5 apart, less the core radius 0.5, over the
+        # relative velocity 4 / (0.3 * 0.7); 64.5 * 0.3 * 0.7 / 4 is one ulp less.
+        params = ScatterParams(0.3, 0.7, 16.0, 1.0, momentum=4.0, core_radius=0.5)
+        assert params.collision_time == 3.38625
 
     @pytest.mark.parametrize(
         "kwargs, match",
