@@ -205,10 +205,12 @@ class TestSingle:
     @pytest.mark.parametrize("mode", ["oracle-check", "transient"])
     @pytest.mark.parametrize("widths", EXTREME_RATIOS)
     def test_no_grid_holds_an_extreme_width_ratio(self, mode, widths, capsys):
+        # The closed form accepts the widths; the grid cannot sample them.
         assert main([mode, *widths, "--grid-n", "64", "--points", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "n=64" in captured.err
 
     @pytest.mark.parametrize("mode", ["single", "sweep-mu", "ellipse"])
     @pytest.mark.parametrize("widths", [["--ratio", "1e-300"],
