@@ -32,10 +32,11 @@ P the product of the two packets' prefactors and phi_i their global
 phases.  The plane wave is a function of x1 times a function of x2, a
 local unitary that leaves the Schmidt spectrum alone, so
 ``reflected_state`` returns the envelope only; ``collision_state``
-multiplies the plane wave back in before subtracting g_t from f_t.  The
-envelope is formed from grid-relative offsets x - c, so no number of the
-size of |x| enters its exponent, and at t = 0, where both w_i are real,
-it is a real float64 matrix and its SVD runs real.
+multiplies the plane wave back in and evaluates f_t - g_t only on the
+wall's open side x1 - x2 > a, a block of rows at a time.  The envelope
+is formed from grid-relative offsets x - c, so no number of the size of
+|x| enters its exponent, and at t = 0, where both w_i are real, it is a
+real float64 matrix and its SVD runs real.
 
 Each sampler is pure per call; independent grids and time points may be
 evaluated concurrently.
@@ -91,9 +92,11 @@ _SUPPORT_FLOOR = 1e-32
 # that mass, so no weight moves by more than 1e-16: far below the 1e-14
 # weight floor.
 _DISCARD_FLOOR = 1e-16
-# Columns in the first range sample, and rows per block of the residual.
+# Columns in the first range sample; rows per block of the residual, and
+# of the collision state as it is sampled.
 _FIRST_SAMPLE = 32
 _RESIDUAL_ROWS = 128
+_BLOCK_ROWS = 64
 # Range samples tried before A itself goes to the SVD.  A restart is sized
 # as if the residual fell geometrically, which after the bounce it does not.
 _MAX_SAMPLES = 2
@@ -320,14 +323,21 @@ def _image_envelope(params, e1, e2, x1, x2) -> np.ndarray:
 
 
 def _collision_amplitudes(params, e1, e2, x1, x2) -> np.ndarray:
-    # The plane wave of g_t, exp(i (phi1 + phi2)) exp(i K (x1 - x2 - 2a)),
-    # split into a factor for each axis.
     k, a = params.momentum, params.core_radius
-    wave1 = np.exp(1j * (k * (x1 - a) + e1.phase))
-    wave2 = np.exp(1j * (e2.phase - k * (x2 + a)))
-    image = _image_envelope(params, e1, e2, x1, x2) * np.outer(wave1, wave2)
-    outside = (x1[:, None] - x2[None, :]) > params.core_radius
-    return (_free_amplitudes(params, e1, e2, x1, x2) - image) * outside
+    amplitudes = np.zeros((len(x1), len(x2)), dtype=complex)
+    for start in range(0, len(x1), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        outside = (x1[rows, None] - x2[None, :]) > a
+        width = np.flatnonzero(outside.any(axis=0)).max(initial=-1) + 1
+        if width == 0:
+            continue
+        y1, y2, outside = x1[rows], x2[:width], outside[:, :width]
+        # The plane wave of g_t, exp(i (phi1 + phi2)) exp(i K (x1 - x2 - 2a)),
+        # split into a factor for each axis.
+        image = _image_envelope(params, e1, e2, y1, y2) * np.outer(
+            np.exp(1j * (k * (y1 - a) + e1.phase)), np.exp(1j * (e2.phase - k * (y2 + a))))
+        amplitudes[rows, :width] = (_free_amplitudes(params, e1, e2, y1, y2) - image) * outside
+    return amplitudes
 
 
 def _sample(
@@ -388,8 +398,11 @@ def collision_state(
     """Sample the exact hard-wall solution psi_t = (f_t - g_t) step(x_r - a).
 
     The step factor is exact: every sampled point with x1 - x2 <= a is
-    zero (the wall point itself included).  The auto grid covers the
-    supports of both f_t and g_t.
+    zero (the wall point itself included).  f_t - g_t is evaluated a block
+    of rows at a time, only up to the last column a row of the block keeps,
+    so the float overflow check (a ValueError) sees the open side and,
+    behind the wall, only the blocks' strips along it.  The auto grid
+    covers the supports of both f_t and g_t.
     """
     return _sample(params, t, grid_n, "both", "the collision state", _collision_amplitudes)
 
@@ -485,12 +498,8 @@ def transient_curve(
     grid_n: int = 512,
 ) -> tuple[float, ...]:
     """Entanglement entropy (bits) of the collision state at each of the
-    strictly ascending ``times``.
-
-    Each time point gets its own auto grid, so the moving and spreading
-    packets stay covered throughout.  Time points are independent and the
-    loop may be parallelized externally; here they run in order.
-    """
+    strictly ascending ``times``, each on its own auto grid, so the moving
+    and spreading packets stay covered throughout."""
     times = [float(t) for t in times]
     if not times:
         raise ValueError("need at least one time point")

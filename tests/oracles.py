@@ -15,14 +15,17 @@ evaluation of the ellipse boundary that ``EllipseShape.boundary_points``
 matches bit for bit.
 
 The grid oracle samples packets through ``EvolvedPacket``; the textbook
-packet amplitude, the plane wave split off the mirror image, Schmidt
-weights and entropy from one untrimmed SVD and the one-particle marginals
-below are what its tests compare against.
+packet amplitude, the plane wave split off the mirror image, the collision
+state evaluated on the whole grid, Schmidt weights and entropy from one
+untrimmed SVD and the one-particle marginals below are what its tests
+compare against.
 """
 
 import math
 
 import numpy as np
+
+from hcscatter.gridsim import _evolved_pair, _free_amplitudes, _image_envelope
 
 SYMPLECTIC_FORM = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
 
@@ -165,6 +168,21 @@ def image_plane_wave(params, t, x1, x2):
     k, a = params.momentum, params.core_radius
     phase = -(k**2) * t / (2.0 * params.mass1) - k**2 * t / (2.0 * params.mass2)
     return np.exp(1j * (k * (x1[:, None] - x2[None, :] - 2.0 * a) + phase))
+
+
+def dense_collision_amplitudes(params, t, x1, x2):
+    """psi_t = (f_t - g_t) step(x1 - x2 - a) on the grid x1[:, None],
+    x2[None, :], from the library's own factors: all n^2 entries are
+    evaluated, behind the wall too, and then masked."""
+    e1, e2 = _evolved_pair(params, t)
+    # The plane wave of g_t, exp(i (phi1 + phi2)) exp(i K (x1 - x2 - 2a)),
+    # split into a factor for each axis.
+    k, a = params.momentum, params.core_radius
+    wave1 = np.exp(1j * (k * (x1 - a) + e1.phase))
+    wave2 = np.exp(1j * (e2.phase - k * (x2 + a)))
+    image = _image_envelope(params, e1, e2, x1, x2) * np.outer(wave1, wave2)
+    outside = (x1[:, None] - x2[None, :]) > params.core_radius
+    return (_free_amplitudes(params, e1, e2, x1, x2) - image) * outside
 
 
 def schmidt_weights(amplitudes):

@@ -1,8 +1,10 @@
 import math
+import traceback
 
 import numpy as np
 import pytest
 
+from hcscatter import gridsim
 from hcscatter.covariance import MassFractions, d_minus_half, entropy_from_d_minus_half
 from hcscatter.gridsim import (
     CoverageError,
@@ -20,6 +22,7 @@ from hcscatter.gridsim import (
 )
 from hcscatter.scattering import ScatterParams
 from oracles import (
+    dense_collision_amplitudes,
     full_svd_entropy,
     image_plane_wave,
     marginal,
@@ -433,6 +436,71 @@ class TestCollisionState:
         target = entropy_from_d_minus_half(d_minus_half(params.fractions, 16.0, 1.0))
         late = schmidt_entropy(collision_state(params, 9.0, grid_n=256))
         assert abs(late - target) <= 2e-2
+
+
+class TestBlockedSampler:
+    """collision_state samples f_t - g_t in blocks of 64 rows, each only up
+    to the last column one of its rows keeps; the dense oracle evaluates
+    all n^2 entries and then masks them."""
+
+    # n = 64 is one block, 100 and 200 end in a partial block, and at 200
+    # and 512 whole blocks lie behind the wall.
+    @pytest.mark.parametrize("n", [64, 100, 200, 512])
+    @pytest.mark.parametrize("t_over_tc", [-1.0, 0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("params", TRANSIENT_SCENARIOS)
+    def test_matches_the_dense_formula(self, params, t_over_tc, n):
+        t = t_over_tc * params.collision_time
+        wave = collision_state(params, t, grid_n=n)
+        x1, x2 = wave.grid.axes()
+        dense = dense_collision_amplitudes(params, t, x1, x2)
+        assert np.abs(wave.amplitudes - dense).max() <= 1e-15 * np.abs(dense).max()
+        behind = (x1[:, None] - x2[None, :]) <= params.core_radius
+        assert behind.any() and not wave.amplitudes[behind].any()
+        spectrum = schmidt_spectrum(wave)
+        reference = schmidt_spectrum(WaveGrid(dense, wave.grid))
+        assert spectrum.kept_shape == reference.kept_shape
+        assert (spectrum.samples, spectrum.projected) == (reference.samples, reference.projected)
+        assert abs(spectrum.entropy - reference.entropy) <= 1e-13
+
+    @pytest.mark.parametrize("n", [100, 512])
+    @pytest.mark.parametrize("params", TRANSIENT_SCENARIOS)
+    def test_samples_only_the_open_side(self, params, n, monkeypatch):
+        # Each block's image window: its rows, and the columns up to the
+        # last one any of its rows keeps.  A block wholly behind the wall
+        # is not evaluated at all.
+        windows = []
+
+        def envelope(params, e1, e2, y1, y2):
+            windows.append((len(y1), len(y2)))
+            return _image_envelope(params, e1, e2, y1, y2)
+
+        monkeypatch.setattr(gridsim, "_image_envelope", envelope)
+        wave = collision_state(params, 0.0, grid_n=n)
+        x1, x2 = wave.grid.axes()
+        open_side = (x1[:, None] - x2[None, :]) > params.core_radius
+        expected = []
+        for start in range(0, n, 64):
+            columns = np.flatnonzero(open_side[start:start + 64].any(axis=0))
+            if columns.size:
+                expected.append((min(64, n - start), columns[-1] + 1))
+        assert windows == expected
+        # At n = 512 the first two blocks lie wholly behind the wall.
+        assert n == 100 or len(windows) <= 6
+
+    def test_overflow_in_the_block_loop_is_the_sampling_error(self):
+        # The inputs of the golden case error_sampling_overflow, `transient
+        # --momentum 1e-160 --grid-n 64 --points 2`, at its second point.
+        params = ScatterParams(0.25, 0.75, 16.0, 1.0, momentum=1e-160, core_radius=0.5)
+        with pytest.raises(ValueError) as excinfo:
+            collision_state(params, 2.5 * params.collision_time, grid_n=64)
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value) == (
+            "sampling the collision state at t=3.02344e+161 overflows on "
+            "x1 in [-2.64e+162, 2.64e+162], x2 in [-1.71e+162, 1.71e+162], n=64")
+        overflow = excinfo.value.__context__
+        assert isinstance(overflow, FloatingPointError)
+        frames = {frame.f_code.co_name: frame for frame, _ in traceback.walk_tb(overflow.__traceback__)}
+        assert "start" in frames["_collision_amplitudes"].f_locals
 
 
 class TestTransientCurve:
