@@ -9,6 +9,7 @@ measures the ``src`` of this checkout ("after") and of OTHER_CHECKOUT
 ``--rounds`` rounds, and writes one JSON record with the environment
 stamp of ``perfbench/run.py``.  Per side it records
 
+* the commit and the line count of ``src/hcscatter/*.py``;
 * the process wall time of each mode (``single``, ``ellipse``,
   ``sweep-mu``, ``oracle-check`` and ``transient``) at its defaults,
   import included;
@@ -143,6 +144,11 @@ def _merge(records: list) -> dict:
     return out
 
 
+def _source_lines(checkout: Path) -> int:
+    return sum(len(path.read_text().splitlines())
+               for path in (checkout / "src" / "hcscatter").glob("*.py"))
+
+
 def _commit(checkout: Path) -> str | None:
     done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
                           capture_output=True, text=True, check=False)
@@ -179,7 +185,8 @@ def main(argv=None) -> int:
         "warm_calls_per_round": WARM_CALLS,
         "split_repeats": SPLIT_REPEATS,
         "unit": "s",
-        **{side: {"commit": _commit(path), **_merge(runs[side])} for side, path in sides.items()},
+        **{side: {"commit": _commit(path), "source_lines": _source_lines(path), **_merge(runs[side])}
+           for side, path in sides.items()},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
