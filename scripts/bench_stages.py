@@ -185,7 +185,8 @@ def main(argv=None) -> int:
         "warm_calls_per_round": WARM_CALLS,
         "split_repeats": SPLIT_REPEATS,
         "unit": "s",
-        **{side: {"commit": _commit(path), "source_lines": _source_lines(path), **_merge(runs[side])}
+        **{side: {"commit": _commit(path), "source_lines": _source_lines(path),
+                  **_merge(runs[side])}
            for side, path in sides.items()},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

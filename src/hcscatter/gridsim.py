@@ -328,6 +328,7 @@ def _collision_amplitudes(params, e1, e2, x1, x2) -> np.ndarray:
     for start in range(0, len(x1), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         outside = (x1[rows, None] - x2[None, :]) > a
+        # Past the last column a row keeps, every row is behind the wall.
         width = np.flatnonzero(outside.any(axis=0)).max(initial=-1) + 1
         if width == 0:
             continue

@@ -484,8 +484,9 @@ class TestBlockedSampler:
             if columns.size:
                 expected.append((min(64, n - start), columns[-1] + 1))
         assert windows == expected
-        # At n = 512 the first two blocks lie wholly behind the wall.
-        assert n == 100 or len(windows) <= 6
+        if n == 512:
+            # The first two blocks lie wholly behind the wall.
+            assert len(windows) <= 6
 
     def test_overflow_in_the_block_loop_is_the_sampling_error(self):
         # The inputs of the golden case error_sampling_overflow, `transient
@@ -497,9 +498,12 @@ class TestBlockedSampler:
         assert str(excinfo.value) == (
             "sampling the collision state at t=3.02344e+161 overflows on "
             "x1 in [-2.64e+162, 2.64e+162], x2 in [-1.71e+162, 1.71e+162], n=64")
+        # The FloatingPointError behind it was raised inside the block loop,
+        # where the sampler's `start` is bound.
         overflow = excinfo.value.__context__
         assert isinstance(overflow, FloatingPointError)
-        frames = {frame.f_code.co_name: frame for frame, _ in traceback.walk_tb(overflow.__traceback__)}
+        frames = {frame.f_code.co_name: frame
+                  for frame, _ in traceback.walk_tb(overflow.__traceback__)}
         assert "start" in frames["_collision_amplitudes"].f_locals
 
 
