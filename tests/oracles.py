@@ -15,8 +15,9 @@ evaluation of the ellipse boundary that ``EllipseShape.boundary_points``
 matches bit for bit.
 
 The grid oracle samples packets through ``EvolvedPacket``; the textbook
-packet amplitude, the plane wave split off the mirror image, the collision
-state evaluated on the whole grid, Schmidt weights and entropy from one
+packet amplitude, the plane wave split off the mirror image, the image
+envelope and the collision state evaluated on the whole grid at once,
+Schmidt weights and entropy from one
 untrimmed SVD and the one-particle marginals below are what its tests
 compare against.
 """
@@ -25,7 +26,8 @@ import math
 
 import numpy as np
 
-from hcscatter.gridsim import _evolved_pair, _free_amplitudes, _image_envelope
+from hcscatter.gridsim import (
+    _evolved_pair, _free_amplitudes, _real_if_real, _reflected_coordinates)
 
 SYMPLECTIC_FORM = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
 
@@ -170,17 +172,33 @@ def image_plane_wave(params, t, x1, x2):
     return np.exp(1j * (k * (x1[:, None] - x2[None, :] - 2.0 * a) + phase))
 
 
+def dense_image_envelope(params, t, x1, x2):
+    """The library's image envelope P exp(-v1^2 / (2 w1) - v2^2 / (2 w2)),
+    v = T (x - c), on the grid x1[:, None], x2[None, :] as one expression
+    over all n^2 entries: no row blocks and no step in place."""
+    e1, e2 = _evolved_pair(params, t)
+    mu = params.fractions
+    c1, c2 = _reflected_coordinates(mu, params.core_radius, e1.center, e2.center)
+    u1, u2 = x1 - c1, x2 - c2
+    v1 = (mu.delta * u1)[:, None] + (2.0 * mu.mu2 * u2)[None, :]
+    v2 = (2.0 * mu.mu1 * u1)[:, None] - (mu.delta * u2)[None, :]
+    exponent = (_real_if_real(-0.5 / e1.width_sq) * (v1 * v1)
+                + _real_if_real(-0.5 / e2.width_sq) * (v2 * v2))
+    return _real_if_real(e1.prefactor * e2.prefactor) * np.exp(exponent)
+
+
 def dense_collision_amplitudes(params, t, x1, x2):
     """psi_t = (f_t - g_t) step(x1 - x2 - a) on the grid x1[:, None],
-    x2[None, :], from the library's own factors: all n^2 entries are
-    evaluated, behind the wall too, and then masked."""
+    x2[None, :], from the library's own packet factors and
+    ``dense_image_envelope``: all n^2 entries are evaluated, behind the
+    wall too, and then masked."""
     e1, e2 = _evolved_pair(params, t)
     # The plane wave of g_t, exp(i (phi1 + phi2)) exp(i K (x1 - x2 - 2a)),
     # split into a factor for each axis.
     k, a = params.momentum, params.core_radius
     wave1 = np.exp(1j * (k * (x1 - a) + e1.phase))
     wave2 = np.exp(1j * (e2.phase - k * (x2 + a)))
-    image = _image_envelope(params, e1, e2, x1, x2) * np.outer(wave1, wave2)
+    image = dense_image_envelope(params, t, x1, x2) * np.outer(wave1, wave2)
     outside = (x1[:, None] - x2[None, :]) > params.core_radius
     return (_free_amplitudes(params, e1, e2, x1, x2) - image) * outside
 

@@ -1,5 +1,6 @@
 import math
 import traceback
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hcscatter.gridsim import (
 from hcscatter.scattering import ScatterParams
 from oracles import (
     dense_collision_amplitudes,
+    dense_image_envelope,
     full_svd_entropy,
     image_plane_wave,
     marginal,
@@ -439,9 +441,62 @@ class TestCollisionState:
 
 
 class TestBlockedSampler:
-    """collision_state samples f_t - g_t in blocks of 64 rows, each only up
-    to the last column one of its rows keeps; the dense oracle evaluates
-    all n^2 entries and then masks them."""
+    """Every state is sampled in blocks of 64 rows; collision_state takes
+    each only up to the last column one of its rows keeps.  The dense
+    oracles evaluate all n^2 entries at once, and then mask them."""
+
+    # n = 64 is one block, 100 and 200 end in a partial block, and 1024 is
+    # the largest grid of the benchmark's oracle workload.
+    @pytest.mark.parametrize("n", [64, 100, 200, 1024])
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    @pytest.mark.parametrize("params", [ScatterParams(0.25, 0.75, 100.0, 1.0, core_radius=0.5),
+                                        TRANSIENT_SCENARIOS[1]])
+    def test_reflected_state_matches_one_envelope(self, params, t, n):
+        wave = reflected_state(params, t, grid_n=n)
+        x1, x2 = wave.grid.axes()
+        e1, e2 = gridsim._evolved_pair(params, t)
+        for whole in (_image_envelope(params, e1, e2, x1, x2),
+                      dense_image_envelope(params, t, x1, x2)):
+            assert wave.amplitudes.dtype == whole.dtype == (float if t == 0.0 else complex)
+            if t == 0.0:
+                assert np.array_equal(wave.amplitudes, whole)
+            else:
+                assert np.abs(wave.amplitudes - whole).max() <= 1e-15 * np.abs(whole).max()
+
+    # At t = 1e-320, t / m underflows beside a large squared width but not
+    # beside a small one.  With widths 1e6 and 1 the first exponent
+    # coefficient is real and the second complex; with 100 and 100 both are
+    # real and the prefactor is complex.
+    @pytest.mark.parametrize("widths", [(1e6, 1.0), (100.0, 100.0)])
+    @pytest.mark.parametrize("state", [reflected_state, collision_state])
+    def test_real_and_complex_factors_mixed(self, state, widths, monkeypatch):
+        params = ScatterParams(1.0, 1.0, *widths, momentum=1.0, core_radius=0.5)
+        t = 1e-320
+        e1, e2 = gridsim._evolved_pair(params, t)
+        factors = (-0.5 / e1.width_sq, -0.5 / e2.width_sq, e1.prefactor * e2.prefactor)
+        assert {type(gridsim._real_if_real(z)) for z in factors} == {float, complex}
+        # No grid this small resolves the narrow packet of the first pair
+        # (the golden case error_coverage_subnormal_time), so the norm gate
+        # is lifted.
+        monkeypatch.setattr(gridsim, "_check_norm", lambda wave, label: wave)
+        wave = state(params, t, grid_n=100)
+        x1, x2 = wave.grid.axes()
+        oracle = dense_image_envelope if state is reflected_state else dense_collision_amplitudes
+        expected = oracle(params, t, x1, x2)
+        assert wave.amplitudes.dtype == expected.dtype == complex
+        assert np.abs(expected).max() > 0.0
+        assert np.abs(wave.amplitudes - expected).max() <= 1e-15 * np.abs(expected).max()
+
+    def test_reflected_state_peak_memory(self, reference_params):
+        # The oracle-check default state at n = 1024: the temporaries are a
+        # block's size, so the traced peak stays near the 8 MiB result.
+        tracemalloc.start()
+        try:
+            wave = reflected_state(reference_params, grid_n=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * wave.amplitudes.nbytes
 
     # n = 64 is one block, 100 and 200 end in a partial block, and at 200
     # and 512 whole blocks lie behind the wall.
@@ -499,12 +554,13 @@ class TestBlockedSampler:
             "sampling the collision state at t=3.02344e+161 overflows on "
             "x1 in [-2.64e+162, 2.64e+162], x2 in [-1.71e+162, 1.71e+162], n=64")
         # The FloatingPointError behind it was raised inside the block loop,
-        # where the sampler's `start` is bound.
+        # where _sample's `start` is bound.
         overflow = excinfo.value.__context__
         assert isinstance(overflow, FloatingPointError)
         frames = {frame.f_code.co_name: frame
                   for frame, _ in traceback.walk_tb(overflow.__traceback__)}
-        assert "start" in frames["_collision_amplitudes"].f_locals
+        assert "start" in frames["_sample"].f_locals
+        assert "_collision_amplitudes" in frames
 
 
 class TestTransientCurve:
