@@ -12,7 +12,7 @@ stamp of ``perfbench/run.py``.  Per side it records
 * the commit and the line count of ``src/hcscatter/*.py``;
 * the process wall time of each mode (``single``, ``ellipse``,
   ``sweep-mu``, ``oracle-check`` and ``transient``) at its defaults,
-  import included;
+  import included, in ``PROCESS_RUNS`` fresh interpreters per round;
 * the same calls made in-process: the first call of a process apart
   from the warm calls after it;
 * the split of the default ``transient`` state (n = 512) at t = 0, at
@@ -20,6 +20,8 @@ stamp of ``perfbench/run.py``.  Per side it records
   ``oracle-check`` state at n = 512 and 1024, into sampling (through the
   public samplers, so it includes the sampler's own norm check), norm
   check and Schmidt spectrum;
+* the ``tracemalloc`` peak, in bytes, of one sampling call of each of
+  those states, its result included;
 * for each of those states, what the Schmidt stage hands LAPACK, read
   from the ``gridsim.schmidt_spectrum`` record of its last timed call:
   the column count of every range sample tried, the shape of the matrix
@@ -43,11 +45,13 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODES = ("single", "ellipse", "sweep-mu", "oracle-check", "transient")
 WARM_CALLS = 3
+PROCESS_RUNS = 5
 SPLIT_REPEATS = 5
 ORACLE_NS = (512, 1024)
 TRANSIENT_N = 512
@@ -74,6 +78,15 @@ def _median_of(fn, repeats):
     return statistics.median(samples), result
 
 
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _split(gridsim, sample) -> tuple[dict, dict]:
     """Stage times of one sampled state, and its LAPACK inputs."""
     sampling, wave = _median_of(sample, SPLIT_REPEATS)
@@ -89,7 +102,8 @@ def measure() -> dict:
     """One fresh interpreter's measurements of the hcscatter it imports."""
     from hcscatter import cli, gridsim
 
-    record = {"first_call_s": {}, "warm_call_s": {}, "split_s": {}, "lapack": {}}
+    record = {"first_call_s": {}, "warm_call_s": {}, "split_s": {}, "lapack": {},
+              "sampling_peak_bytes": {}}
     for mode in MODES:
         record["first_call_s"][mode] = _call(cli.main, mode)
         record["warm_call_s"][mode] = [_call(cli.main, mode) for _ in range(WARM_CALLS)]
@@ -108,6 +122,7 @@ def measure() -> dict:
     })
     for label, sample in states.items():
         record["split_s"][label], record["lapack"][label] = _split(gridsim, sample)
+        record["sampling_peak_bytes"][label] = _traced_peak(sample)
     return record
 
 
@@ -116,12 +131,13 @@ def _run_side(src: Path) -> dict:
     done = subprocess.run([sys.executable, __file__, "--measure"], env=env,
                           capture_output=True, text=True, check=True)
     record = json.loads(done.stdout)
-    record["process_s"] = {}
-    for mode in MODES:
-        start = time.perf_counter()
-        subprocess.run([sys.executable, "-c", CLI, mode], env=env,
-                       stdout=subprocess.DEVNULL, check=True)
-        record["process_s"][mode] = time.perf_counter() - start
+    record["process_s"] = {mode: [] for mode in MODES}
+    for _ in range(PROCESS_RUNS):
+        for mode in MODES:
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-c", CLI, mode], env=env,
+                           stdout=subprocess.DEVNULL, check=True)
+            record["process_s"][mode].append(time.perf_counter() - start)
     return record
 
 
@@ -136,7 +152,7 @@ def _merge(records: list) -> dict:
 
     out = {key: {name: merged(record[key][name] for record in records)
                  for name in records[0][key]}
-           for key in ("process_s", "first_call_s", "warm_call_s")}
+           for key in ("process_s", "first_call_s", "warm_call_s", "sampling_peak_bytes")}
     out["split_s"] = {label: {stage: merged(record["split_s"][label][stage] for record in records)
                               for stage in stages}
                       for label, stages in records[0]["split_s"].items()}
@@ -183,6 +199,7 @@ def main(argv=None) -> int:
         "env": env,
         "rounds": args.rounds,
         "warm_calls_per_round": WARM_CALLS,
+        "process_runs_per_round": PROCESS_RUNS,
         "split_repeats": SPLIT_REPEATS,
         "unit": "s",
         **{side: {"commit": _commit(path), "source_lines": _source_lines(path),
