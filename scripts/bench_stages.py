@@ -79,6 +79,7 @@ def _median_of(fn, repeats):
 
 
 def _traced_peak(fn) -> int:
+    """The traced peak, in bytes, of one call of fn, its result included."""
     tracemalloc.start()
     try:
         fn()

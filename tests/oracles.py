@@ -17,9 +17,8 @@ matches bit for bit.
 The grid oracle samples packets through ``EvolvedPacket``; the textbook
 packet amplitude, the plane wave split off the mirror image, the image
 envelope and the collision state evaluated on the whole grid at once,
-Schmidt weights and entropy from one
-untrimmed SVD and the one-particle marginals below are what its tests
-compare against.
+Schmidt weights and entropy from one untrimmed SVD and the one-particle
+marginals below are what its tests compare against.
 """
 
 import math
