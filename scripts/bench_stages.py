@@ -21,7 +21,8 @@ stamp of ``perfbench/run.py``.  Per side it records
   public samplers, so it includes the sampler's own norm check), norm
   check and Schmidt spectrum;
 * the ``tracemalloc`` peak, in bytes, of one sampling call of each of
-  those states, its result included;
+  those states, its result included, and of one ``schmidt_spectrum``
+  call on it;
 * for each of those states, what the Schmidt stage hands LAPACK, read
   from the ``gridsim.schmidt_spectrum`` record of its last timed call:
   the column count of every range sample tried, the shape of the matrix
@@ -72,6 +73,9 @@ def _call(main, mode) -> float:
 def _median_of(fn, repeats):
     samples = []
     for _ in range(repeats):
+        # Dropped first, so that a call does not time allocating its result
+        # while the previous one is still held.
+        result = None
         start = time.perf_counter()
         result = fn()
         samples.append(time.perf_counter() - start)
@@ -88,15 +92,17 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def _split(gridsim, sample) -> tuple[dict, dict]:
-    """Stage times of one sampled state, and its LAPACK inputs."""
+def _split(gridsim, sample) -> tuple[dict, dict, int]:
+    """Stage times of one sampled state, its LAPACK inputs, and the traced
+    peak of one Schmidt spectrum call."""
     sampling, wave = _median_of(sample, SPLIT_REPEATS)
     norm, _ = _median_of(wave.norm, SPLIT_REPEATS)
     schmidt, spectrum = _median_of(lambda: gridsim.schmidt_spectrum(wave), SPLIT_REPEATS)
     times = {"sampling": sampling, "norm": norm, "schmidt": schmidt}
-    return times, {"samples": list(spectrum.samples), "kept": list(spectrum.kept_shape),
-                   "dtype": str(wave.amplitudes.dtype),
-                   "k": spectrum.samples[-1] if spectrum.projected else "full"}
+    lapack = {"samples": list(spectrum.samples), "kept": list(spectrum.kept_shape),
+              "dtype": str(wave.amplitudes.dtype),
+              "k": spectrum.samples[-1] if spectrum.projected else "full"}
+    return times, lapack, _traced_peak(lambda: gridsim.schmidt_spectrum(wave))
 
 
 def measure() -> dict:
@@ -104,7 +110,7 @@ def measure() -> dict:
     from hcscatter import cli, gridsim
 
     record = {"first_call_s": {}, "warm_call_s": {}, "split_s": {}, "lapack": {},
-              "sampling_peak_bytes": {}}
+              "sampling_peak_bytes": {}, "schmidt_peak_bytes": {}}
     for mode in MODES:
         record["first_call_s"][mode] = _call(cli.main, mode)
         record["warm_call_s"][mode] = [_call(cli.main, mode) for _ in range(WARM_CALLS)]
@@ -122,7 +128,8 @@ def measure() -> dict:
         for n in ORACLE_NS
     })
     for label, sample in states.items():
-        record["split_s"][label], record["lapack"][label] = _split(gridsim, sample)
+        (record["split_s"][label], record["lapack"][label],
+         record["schmidt_peak_bytes"][label]) = _split(gridsim, sample)
         record["sampling_peak_bytes"][label] = _traced_peak(sample)
     return record
 
@@ -153,7 +160,8 @@ def _merge(records: list) -> dict:
 
     out = {key: {name: merged(record[key][name] for record in records)
                  for name in records[0][key]}
-           for key in ("process_s", "first_call_s", "warm_call_s", "sampling_peak_bytes")}
+           for key in ("process_s", "first_call_s", "warm_call_s", "sampling_peak_bytes",
+                       "schmidt_peak_bytes")}
     out["split_s"] = {label: {stage: merged(record["split_s"][label][stage] for record in records)
                               for stage in stages}
                       for label, stages in records[0]["split_s"].items()}

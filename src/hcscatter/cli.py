@@ -454,7 +454,3 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:  # pragma: no cover
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

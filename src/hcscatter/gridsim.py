@@ -81,11 +81,11 @@ COVERAGE = 6.0
 # Schmidt weights below this are numerical noise and are dropped before
 # the entropy sum.
 _WEIGHT_FLOOR = 1e-14
-# Rows and columns carrying at most this fraction of the mass are left out
-# of the SVD.  At most 2n of them go, a mass fraction delta <= 2n * 1e-32,
-# which moves each Schmidt weight w by at most 2 sqrt(w delta) + delta:
-# below the weight floor for n <= 1024, and far below the ~2e-9 the
-# COVERAGE box itself cuts at any n.
+# Rows and columns outside the span of those carrying more than this
+# fraction of the mass are left out of the SVD.  At most 2n of them go, a
+# mass fraction delta <= 2n * 1e-32.  A submatrix's singular values never
+# exceed the matrix's, and their squares lose exactly the dropped mass, so
+# no weight moves by more than delta: far below the 1e-14 weight floor.
 _SUPPORT_FLOOR = 1e-32
 # The Schmidt SVD may get B = Q^H A, Q orthonormal, in place of A when the
 # mass it leaves out, ||A - Q B||_F^2, is at most this fraction of the
@@ -341,8 +341,8 @@ def _image_envelope(params, e1, e2, x1, x2) -> np.ndarray:
 def _collision_amplitudes(params, e1, e2, x1, x2) -> np.ndarray:
     k, a = params.momentum, params.core_radius
     outside = (x1[:, None] - x2[None, :]) > a
-    # Past the last column a row keeps, every row is behind the wall.
-    width = np.flatnonzero(outside.any(axis=0)).max(initial=-1) + 1
+    # Rows keep a prefix of the ascending x2, the last (largest x1) the longest.
+    width = np.count_nonzero(outside[-1])
     if width == 0:
         return np.zeros((len(x1), 0), dtype=complex)
     y2, outside = x2[:width], outside[:, :width]
@@ -425,18 +425,17 @@ class SchmidtSpectrum:
 
 
 def _support(amplitudes: np.ndarray) -> tuple[np.ndarray, float]:
-    """The rows and columns of ``amplitudes`` whose share of the mass
-    exceeds ``_SUPPORT_FLOOR`` (the array itself, uncopied, when that is
-    all of them), and the sum of |amplitudes|^2."""
-    density = np.abs(amplitudes)
-    density *= density
-    rows, columns = density.sum(axis=1), density.sum(axis=0)
+    """A view of ``amplitudes`` from its first to its last row, and column,
+    whose share of the mass exceeds ``_SUPPORT_FLOOR``, and the sum of
+    |amplitudes|^2."""
+    # A complex column is two float columns of the view.
+    parts = amplitudes.view(float)
+    rows = np.einsum("ij,ij->i", parts, parts)
+    columns = np.einsum("ij,ij->j", parts, parts).reshape(amplitudes.shape[1], -1).sum(axis=1)
     mass = float(rows.sum())
-    floor = _SUPPORT_FLOOR * mass
-    keep_rows, keep_columns = rows > floor, columns > floor
-    if keep_rows.all() and keep_columns.all():
-        return amplitudes, mass
-    return amplitudes[np.ix_(keep_rows, keep_columns)], mass
+    (r0, r1), (c0, c1) = (np.flatnonzero(sums > _SUPPORT_FLOOR * mass)[[0, -1]]
+                          for sums in (rows, columns))
+    return amplitudes[r0:r1 + 1, c0:c1 + 1], mass
 
 
 def _singular_values(matrix: np.ndarray, mass: float) -> tuple[np.ndarray, tuple[int, ...], bool]:

@@ -17,8 +17,9 @@ matches bit for bit.
 The grid oracle samples packets through ``EvolvedPacket``; the textbook
 packet amplitude, the plane wave split off the mirror image, the image
 envelope and the collision state evaluated on the whole grid at once,
-Schmidt weights and entropy from one untrimmed SVD and the one-particle
-marginals below are what its tests compare against.
+Schmidt weights and entropy from one untrimmed SVD, the masked support
+trim and the one-particle marginals below are what its tests compare
+against.
 """
 
 import math
@@ -26,7 +27,7 @@ import math
 import numpy as np
 
 from hcscatter.gridsim import (
-    _evolved_pair, _free_amplitudes, _real_if_real, _reflected_coordinates)
+    _SUPPORT_FLOOR, _evolved_pair, _free_amplitudes, _real_if_real, _reflected_coordinates)
 
 SYMPLECTIC_FORM = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
 
@@ -207,6 +208,18 @@ def schmidt_weights(amplitudes):
     matrix, nothing trimmed, normalized to unit sum, largest first."""
     weights = np.linalg.svd(amplitudes, compute_uv=False) ** 2
     return weights / weights.sum()
+
+
+def masked_support(amplitudes):
+    """Every row and column of ``amplitudes`` whose share of |amplitudes|^2
+    exceeds ``_SUPPORT_FLOOR``, contiguous or not, as a copy, and the sum
+    of |amplitudes|^2."""
+    density = np.abs(amplitudes)
+    density *= density
+    rows, columns = density.sum(axis=1), density.sum(axis=0)
+    mass = float(rows.sum())
+    floor = _SUPPORT_FLOOR * mass
+    return amplitudes[np.ix_(rows > floor, columns > floor)], mass
 
 
 def full_svd_entropy(wave):

@@ -28,6 +28,7 @@ from oracles import (
     full_svd_entropy,
     image_plane_wave,
     marginal,
+    masked_support,
     mixing_matrix,
     packet_amplitude,
     schmidt_weights,
@@ -410,6 +411,56 @@ class TestCertifiedSpectrum:
         params = TRANSIENT_SCENARIOS[0]
         spectrum = schmidt_spectrum(collision_state(params, params.collision_time, grid_n=512))
         assert not spectrum.projected
+
+
+class TestSupportTrim:
+    """The SVD gets a view of the span from the first to the last row, and
+    column, above ``_SUPPORT_FLOOR``, which keeps all that the masked trim
+    of ``oracles.masked_support`` keeps."""
+
+    @pytest.mark.parametrize("params", TRANSIENT_SCENARIOS)
+    def test_trimmed_state_is_a_view(self, params):
+        amplitudes = collision_state(params, 0.0, grid_n=256).amplitudes
+        kept, _ = gridsim._support(amplitudes)
+        assert kept.shape[0] < 256 and kept.shape[1] < 256
+        assert np.shares_memory(kept, amplitudes)
+
+    def test_empty_row_inside_the_span_is_kept(self):
+        # Row 0 and column 0 lie outside the span and go; the empty row 100
+        # lies inside it and stays.
+        matrix = spectrum_matrix(0.8 ** np.arange(256))
+        matrix[[0, 100]] = 0.0
+        matrix[:, 0] = 0.0
+        assert checked_spectrum(unit_wave(matrix)).kept_shape == (255, 255)
+
+    # t_over_tc None is the reflected state, which fills its own box.
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("t_over_tc", [0.0, 1.0, 2.5, None])
+    @pytest.mark.parametrize("params", TRANSIENT_SCENARIOS)
+    def test_span_matches_the_masked_trim(self, params, t_over_tc, n):
+        wave = (reflected_state(params, grid_n=n) if t_over_tc is None
+                else collision_state(params, t_over_tc * params.collision_time, grid_n=n))
+        kept, mass = gridsim._support(wave.amplitudes)
+        reference, reference_mass = masked_support(wave.amplitudes)
+        assert np.array_equal(kept, reference)
+        assert mass == pytest.approx(reference_mass, rel=1e-13)
+        singular, samples, projected = gridsim._singular_values(kept, mass)
+        expected, *record = gridsim._singular_values(reference, reference_mass)
+        assert [samples, projected] == record
+        # The view and the copy differ in their row stride only.
+        assert np.abs(singular - expected).max() <= 4.0 * np.finfo(float).eps * expected[0]
+
+    def test_schmidt_spectrum_peak_memory(self, reference_params):
+        # The oracle-check default state at n = 1024: the trim forms no
+        # temporary of the grid's size and copies nothing.
+        wave = reflected_state(reference_params, grid_n=1024)
+        tracemalloc.start()
+        try:
+            schmidt_spectrum(wave)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * wave.amplitudes.nbytes
 
 
 class TestCollisionState:
