@@ -27,8 +27,10 @@ stamp of ``perfbench/run.py``.  Per side it records
   from the ``gridsim.schmidt_spectrum`` record of its last timed call:
   the column count of every range sample tried, the shape of the matrix
   left after the support trim, the dtype of the amplitudes, and ``k``,
-  the sample the SVD's input was projected on, or "full" when the SVD
-  gets the kept matrix itself.
+  the sample the SVD's input was projected on, or, when the kept matrix
+  itself is used, "gram" if the call reaches ``numpy.linalg.eigvalsh``
+  (a complex one's Gram matrix goes there) and "full" if not (a real one
+  goes to the SVD, as every one did before the Gram route).
 
 Times are medians over all samples; the samples are kept too.  Both
 sides run this script's ``measure``, so OTHER_CHECKOUT must have
@@ -92,6 +94,21 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def _fall_through(gridsim, wave) -> str:
+    """"gram" if a Schmidt spectrum call of wave reaches ``numpy.linalg.eigvalsh``,
+    else "full": read from the call, so that either side is labelled by
+    what its own gridsim runs."""
+    import numpy as np
+
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    np.linalg.eigvalsh = lambda *args, **kwargs: calls.append(1) or eigvalsh(*args, **kwargs)
+    try:
+        gridsim.schmidt_spectrum(wave)
+    finally:
+        np.linalg.eigvalsh = eigvalsh
+    return "gram" if calls else "full"
+
+
 def _split(gridsim, sample) -> tuple[dict, dict, int]:
     """Stage times of one sampled state, its LAPACK inputs, and the traced
     peak of one Schmidt spectrum call."""
@@ -101,7 +118,7 @@ def _split(gridsim, sample) -> tuple[dict, dict, int]:
     times = {"sampling": sampling, "norm": norm, "schmidt": schmidt}
     lapack = {"samples": list(spectrum.samples), "kept": list(spectrum.kept_shape),
               "dtype": str(wave.amplitudes.dtype),
-              "k": spectrum.samples[-1] if spectrum.projected else "full"}
+              "k": spectrum.samples[-1] if spectrum.projected else _fall_through(gridsim, wave)}
     return times, lapack, _traced_peak(lambda: gridsim.schmidt_spectrum(wave))
 
 

@@ -408,10 +408,10 @@ def collision_state(params: ScatterParams, t: float, *, grid_n: int = 512) -> Wa
 @dataclass(frozen=True)
 class SchmidtSpectrum:
     """The Schmidt weights of a sampled state, renormalized to unit sum,
-    above ``_WEIGHT_FLOOR`` and largest first; the matrix shape left by
-    the ``_SUPPORT_FLOOR`` trim; the column counts of the range samples
-    tried, in order; and whether the SVD got the projection on the last
-    one (``_DISCARD_FLOOR``) rather than the kept matrix itself."""
+    above ``_WEIGHT_FLOOR`` and largest first; the matrix shape left by the
+    ``_SUPPORT_FLOOR`` trim; the range samples' column counts, in order; and
+    whether the weights are the projection's on the last (``_DISCARD_FLOOR``)
+    or the kept matrix's: its SVD if real, its Gram eigenvalues if complex."""
 
     weights: np.ndarray
     kept_shape: tuple[int, int]
@@ -441,9 +441,9 @@ def _support(amplitudes: np.ndarray) -> tuple[np.ndarray, float]:
 def _singular_values(matrix: np.ndarray, mass: float) -> tuple[np.ndarray, tuple[int, ...], bool]:
     """Singular values of A = ``matrix``, whose |entries|^2 sum to at most
     ``mass``, the range samples tried and whether the values are those of
-    the projection on the last (see ``SchmidtSpectrum``).  A itself goes to
-    the SVD after ``_MAX_SAMPLES`` samples, or once k would pass a quarter
-    of A's smaller side."""
+    the projection on the last (see ``SchmidtSpectrum``).  After
+    ``_MAX_SAMPLES`` samples, or once k would pass a quarter of A's smaller
+    side, a real A goes to the SVD, a complex A's smaller Gram matrix to eigvalsh."""
     rows, columns = matrix.shape
     samples, k = [], _FIRST_SAMPLE
     while len(samples) < _MAX_SAMPLES and 4 * k <= min(rows, columns):
@@ -468,6 +468,14 @@ def _singular_values(matrix: np.ndarray, mass: float) -> tuple[np.ndarray, tuple
         # The residual fell as ratio**(1/k) per sampled column; take as
         # many columns as reach the floor at that rate.
         k = math.ceil(k * math.log(_DISCARD_FLOOR) / math.log(ratio)) if ratio < 1.0 else columns
+    if np.iscomplexobj(matrix):
+        # G's entries are inner products of length max(rows, columns), so
+        # ||dG||_2 <= gamma ||A||_F^2 (Higham, Accuracy and Stability, 3.5), and
+        # eigvalsh is backward stable: each weight is within (rows + columns) eps
+        # of the total mass of the SVD's.  eigvalsh copies G while G is held, two
+        # square arrays where the SVD copies A once, so a real A keeps the SVD.
+        gram = matrix @ matrix.conj().T if rows <= columns else matrix.conj().T @ matrix
+        return np.sqrt(np.linalg.eigvalsh(gram)[::-1].clip(min=0.0)), tuple(samples), False
     return np.linalg.svd(matrix, compute_uv=False), tuple(samples), False
 
 

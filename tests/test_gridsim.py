@@ -311,29 +311,54 @@ def unit_wave(matrix):
 
 
 def checked_spectrum(wave):
-    """``schmidt_spectrum(wave)``, each of its weights checked to lie within
-    1e-16 (the projection's certified bound) of the full SVD's, plus 10 eps
-    of the largest weight for the rounding of the two SVDs: the full SVD of
-    the transposed matrix alone differs from the full SVD by up to 3 eps of
-    it on these states.  The weights the record leaves out must be those of
-    the full SVD below the 1e-14 floor."""
+    """``schmidt_spectrum(wave)``, each of its weights checked against the
+    full SVD's.  A projected or real input's must lie within 1e-16 (the
+    projection's certified bound), plus 10 eps of the largest weight for the
+    rounding of the two SVDs: the full SVD of the transposed matrix alone
+    differs from the full SVD by up to 3 eps of it on these states.  A
+    complex input that falls through takes the Gram route, whose weights
+    lie within (rows + columns) eps of the unit total mass, rows and columns
+    those of the kept matrix.  The weights the record leaves out must be
+    those of the full SVD below the 1e-14 floor."""
     spectrum = schmidt_spectrum(wave)
     full = schmidt_weights(wave.amplitudes)
-    tolerance = 1e-16 + 10.0 * np.finfo(float).eps * full[0]
+    eps = np.finfo(float).eps
+    if spectrum.projected or np.isrealobj(wave.amplitudes):
+        tolerance = 1e-16 + 10.0 * eps * full[0]
+    else:
+        tolerance = sum(spectrum.kept_shape) * eps
     kept = len(spectrum.weights)
     assert np.abs(spectrum.weights - full[:kept]).max() <= tolerance
     assert full[kept:].max(initial=0.0) <= 1e-14 + tolerance
     return spectrum
 
 
-def spectrum_matrix(weights, seed=0):
-    """A square matrix with random singular vectors and Schmidt weights
-    proportional to ``weights``."""
-    n = len(weights)
+def spectrum_matrix(weights, seed=0, shape=None, dtype=float):
+    """A matrix of ``shape``, square by default, with random singular vectors
+    of ``dtype`` and Schmidt weights proportional to ``weights``, one per
+    row or column of its smaller side."""
     rng = np.random.default_rng(seed)
-    left = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    right = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    return (left * np.sqrt(weights)) @ right.T
+
+    def vectors(n):
+        draw = rng.standard_normal((n, len(weights)))
+        if dtype is complex:
+            draw = draw + 1j * rng.standard_normal((n, len(weights)))
+        return np.linalg.qr(draw)[0]
+
+    rows, columns = shape or (len(weights), len(weights))
+    return (vectors(rows) * np.sqrt(weights)) @ vectors(columns).conj().T
+
+
+def linalg_calls(monkeypatch):
+    """A list to which each later ``np.linalg.svd`` and ``np.linalg.eigvalsh``
+    call appends its name and the shape of its matrix."""
+    calls = []
+    for name in ("svd", "eigvalsh"):
+        def spy(matrix, *args, name=name, original=getattr(np.linalg, name), **kwargs):
+            calls.append((name, matrix.shape))
+            return original(matrix, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
 
 
 def matrix_outside_the_first_sample(n, fraction, seed=0):
@@ -350,7 +375,8 @@ def matrix_outside_the_first_sample(n, fraction, seed=0):
 
 class TestCertifiedSpectrum:
     """The Schmidt SVD of a low-rank state runs on Q^H A, certified to
-    leave out at most 1e-16 of the mass; other states keep the full SVD."""
+    leave out at most 1e-16 of the mass; other states go whole to the SVD
+    if real, and to the eigenvalues of their Gram matrix if complex."""
 
     @pytest.mark.parametrize("n", [256, 512])
     @pytest.mark.parametrize("t_over_tc", [0.0, 1.0, 2.5])
@@ -375,12 +401,32 @@ class TestCertifiedSpectrum:
         spectrum = schmidt_spectrum(reflected_state(reference_params, grid_n=512))
         assert spectrum.projected and spectrum.samples[-1] < 128
 
-    def test_slow_decay_falls_back_to_the_full_svd(self):
+    def test_slow_decay_falls_back_to_the_full_svd(self, monkeypatch):
         # At xi = 0.97 the first 32 columns leave 59% of the mass out; the
         # sample that decay asks for, ~2200 columns, is past n/4, so A
-        # itself goes to the SVD.
-        spectrum = checked_spectrum(unit_wave(spectrum_matrix(0.97 ** np.arange(512))))
+        # itself, being real, goes to the SVD.
+        wave = unit_wave(spectrum_matrix(0.97 ** np.arange(512)))
+        spectrum = checked_spectrum(wave)
         assert (spectrum.samples, spectrum.projected) == ((32,), False)
+        calls = linalg_calls(monkeypatch)
+        schmidt_spectrum(wave)
+        assert calls == [("svd", (512, 512))]
+
+    @pytest.mark.parametrize("shape", [(400, 300), (300, 400)])
+    def test_complex_slow_decay_takes_the_gram_route(self, shape, monkeypatch):
+        # The xi = 0.97 spectrum with complex singular vectors, alone in a
+        # 512 x 512 grid: the trim keeps the non-square block, whose samples
+        # fail as the real matrix's do, and its Gram matrix is formed on
+        # the smaller side.
+        matrix = np.zeros((512, 512), dtype=complex)
+        matrix[:shape[0], :shape[1]] = spectrum_matrix(
+            0.97 ** np.arange(min(shape)), shape=shape, dtype=complex)
+        wave = unit_wave(matrix)
+        spectrum = checked_spectrum(wave)
+        assert (spectrum.kept_shape, spectrum.samples, spectrum.projected) == (shape, (32,), False)
+        calls = linalg_calls(monkeypatch)
+        schmidt_spectrum(wave)
+        assert calls == [("eigvalsh", (min(shape), min(shape)))]
 
     def test_failed_restart_falls_back_to_the_full_svd(self):
         # Weights that halve for 32 indices, then fall by only 0.8 per
@@ -407,10 +453,16 @@ class TestCertifiedSpectrum:
         assert spectrum.samples[0] == 32
         assert (spectrum.samples == (32,) and spectrum.projected) == accepted
 
-    def test_mid_bounce_state_gets_the_full_svd(self):
+    def test_mid_bounce_state_gets_the_gram_eigenproblem(self, monkeypatch):
+        # The default transient state at t_c: no sample can take it, and
+        # being complex it never reaches the SVD.
         params = TRANSIENT_SCENARIOS[0]
-        spectrum = schmidt_spectrum(collision_state(params, params.collision_time, grid_n=512))
+        wave = collision_state(params, params.collision_time, grid_n=512)
+        calls = linalg_calls(monkeypatch)
+        spectrum = schmidt_spectrum(wave)
         assert not spectrum.projected
+        side = min(spectrum.kept_shape)
+        assert calls == [("eigvalsh", (side, side))]
 
 
 class TestSupportTrim:
