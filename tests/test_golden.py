@@ -3,8 +3,9 @@
 ``golden/cases.json`` maps each case name to its argv, exit code and
 stderr; ``golden/<case>.txt`` holds the stdout the CLI printed for it.
 Stdout must match byte for byte, except for the values that come out of
-a LAPACK singular-value decomposition, which are compared within 1e-12
-bits so that a different BLAS build does not fail the test.
+LAPACK (a singular-value or Hermitian eigenvalue decomposition), which
+are compared within 1e-12 bits so that a different BLAS build does not
+fail the test.
 
 Run as a script, ``python tests/test_golden.py`` replays every case
 through the installed ``hcscatter`` command, each in a fresh process,
