@@ -28,13 +28,13 @@ stamp of ``perfbench/run.py``.  Per side it records
   the column count of every range sample tried, the shape of the matrix
   left after the support trim, the dtype of the amplitudes, and ``k``,
   the sample the SVD's input was projected on, or, when the kept matrix
-  itself is used, "gram" if the call reaches ``numpy.linalg.eigvalsh``
-  (a complex one's Gram matrix goes there) and "full" if not (a real one
-  goes to the SVD, as every one did before the Gram route).
+  itself is used, the record's route: "svd" for a real one, "gram" for
+  a complex one, whose Gram matrix's eigenvalues are taken.
 
 Times are medians over all samples; the samples are kept too.  Both
 sides run this script's ``measure``, so OTHER_CHECKOUT must have
-``gridsim.schmidt_spectrum`` and ``ScatterParams.collision_time``.
+``gridsim.schmidt_spectrum`` with its ``SchmidtSpectrum.route`` and
+``ScatterParams.collision_time``.
 """
 
 from __future__ import annotations
@@ -94,21 +94,6 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def _fall_through(gridsim, wave) -> str:
-    """"gram" if a Schmidt spectrum call of wave reaches ``numpy.linalg.eigvalsh``,
-    else "full": read from the call, so that either side is labelled by
-    what its own gridsim runs."""
-    import numpy as np
-
-    eigvalsh, calls = np.linalg.eigvalsh, []
-    np.linalg.eigvalsh = lambda *args, **kwargs: calls.append(1) or eigvalsh(*args, **kwargs)
-    try:
-        gridsim.schmidt_spectrum(wave)
-    finally:
-        np.linalg.eigvalsh = eigvalsh
-    return "gram" if calls else "full"
-
-
 def _split(gridsim, sample) -> tuple[dict, dict, int]:
     """Stage times of one sampled state, its LAPACK inputs, and the traced
     peak of one Schmidt spectrum call."""
@@ -118,7 +103,7 @@ def _split(gridsim, sample) -> tuple[dict, dict, int]:
     times = {"sampling": sampling, "norm": norm, "schmidt": schmidt}
     lapack = {"samples": list(spectrum.samples), "kept": list(spectrum.kept_shape),
               "dtype": str(wave.amplitudes.dtype),
-              "k": spectrum.samples[-1] if spectrum.projected else _fall_through(gridsim, wave)}
+              "k": spectrum.samples[-1] if spectrum.route == "projection" else spectrum.route}
     return times, lapack, _traced_peak(lambda: gridsim.schmidt_spectrum(wave))
 
 

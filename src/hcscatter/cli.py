@@ -5,9 +5,9 @@ one row with its runner, ``--help`` line, fewest points and defaults,
 and every mode takes the same flags.
 
 Outputs are CSV (scalars in '#' header lines, 17 significant digits) or
-JSON; identical configurations produce byte-identical files, and
-each warning goes to stderr as one 'warning: ...' line.  Exit codes:
-0 success, 2 validation error, 3 I/O error, 4 oracle-check failure.
+JSON; identical configurations produce byte-identical files, and each
+warning goes to stderr as one 'warning: ...' line.  Exit codes: 0 success,
+2 validation error or out of memory, 3 I/O error, 4 oracle-check failure.
 Only the grid modes import ``gridsim`` (and numpy), when they run.
 """
 
@@ -436,12 +436,12 @@ def main(argv=None) -> int:
         cfg = _resolve(args.mode, flags, file_values)
         record = MODES[cfg.mode].run(cfg)
         _emit(record, cfg)
-    except ValueError as exc:  # CoverageError included
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print(f"error: {cfg.mode} ran out of memory at grid_n={cfg.grid_n}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # CoverageError included
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION
     if cfg.mode == "oracle-check" and not record["passed"]:
         print(
             f"oracle check failed: |schmidt - analytic| = "

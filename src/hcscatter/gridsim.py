@@ -93,12 +93,11 @@ _SUPPORT_FLOOR = 1e-32
 # that mass, so no weight moves by more than 1e-16: far below the 1e-14
 # weight floor.
 _DISCARD_FLOOR = 1e-16
-# Columns in the first range sample; rows per block of the residual, and
-# of every state as it is sampled.
+# Columns in the first range sample; rows per block of every state as it
+# is sampled, and of the residual of every range sample.
 _FIRST_SAMPLE = 32
-_RESIDUAL_ROWS = 128
 _BLOCK_ROWS = 64
-# Range samples tried before A itself goes to the SVD.  A restart is sized
+# Range samples tried before A itself is decomposed.  A restart is sized
 # as if the residual fell geometrically, which after the bounce it does not.
 _MAX_SAMPLES = 2
 
@@ -410,13 +409,13 @@ class SchmidtSpectrum:
     """The Schmidt weights of a sampled state, renormalized to unit sum,
     above ``_WEIGHT_FLOOR`` and largest first; the matrix shape left by the
     ``_SUPPORT_FLOOR`` trim; the range samples' column counts, in order; and
-    whether the weights are the projection's on the last (``_DISCARD_FLOOR``)
-    or the kept matrix's: its SVD if real, its Gram eigenvalues if complex."""
+    the route: "projection" (the SVD of the last sample's projection), "svd"
+    (a real kept matrix's) or "gram" (a complex one's Gram eigenvalues)."""
 
     weights: np.ndarray
     kept_shape: tuple[int, int]
     samples: tuple[int, ...]
-    projected: bool
+    route: str
 
     @property
     def entropy(self) -> float:
@@ -438,12 +437,12 @@ def _support(amplitudes: np.ndarray) -> tuple[np.ndarray, float]:
     return amplitudes[r0:r1 + 1, c0:c1 + 1], mass
 
 
-def _singular_values(matrix: np.ndarray, mass: float) -> tuple[np.ndarray, tuple[int, ...], bool]:
+def _singular_values(matrix: np.ndarray, mass: float) -> tuple[np.ndarray, tuple[int, ...], str]:
     """Singular values of A = ``matrix``, whose |entries|^2 sum to at most
-    ``mass``, the range samples tried and whether the values are those of
-    the projection on the last (see ``SchmidtSpectrum``).  After
-    ``_MAX_SAMPLES`` samples, or once k would pass a quarter of A's smaller
-    side, a real A goes to the SVD, a complex A's smaller Gram matrix to eigvalsh."""
+    ``mass``, the range samples tried and the route (see ``SchmidtSpectrum``):
+    "projection" once a sample leaves out little enough; after ``_MAX_SAMPLES``
+    samples, or once k would pass a quarter of A's smaller side, "svd" for a
+    real A and "gram", eigvalsh of the smaller Gram matrix, for a complex A."""
     rows, columns = matrix.shape
     samples, k = [], _FIRST_SAMPLE
     while len(samples) < _MAX_SAMPLES and 4 * k <= min(rows, columns):
@@ -454,16 +453,16 @@ def _singular_values(matrix: np.ndarray, mass: float) -> tuple[np.ndarray, tuple
         projection = basis.conj().T @ matrix
         # ||A - Q B||_F^2 by blocks of rows: no temporary of A's size.
         discarded = 0.0
-        for start in range(0, rows, _RESIDUAL_ROWS):
-            block = basis[start:start + _RESIDUAL_ROWS] @ projection
-            block -= matrix[start:start + _RESIDUAL_ROWS]
+        for start in range(0, rows, _BLOCK_ROWS):
+            block = basis[start:start + _BLOCK_ROWS] @ projection
+            block -= matrix[start:start + _BLOCK_ROWS]
             discarded += float(np.vdot(block, block).real)
         ratio = discarded / mass
         # Freed before the next sample or the SVD allocates: held across a
         # full SVD, they add ~5 MB to peak memory at n ~ 1000.
         del sample, basis, block
         if ratio <= _DISCARD_FLOOR:
-            return np.linalg.svd(projection, compute_uv=False), tuple(samples), True
+            return np.linalg.svd(projection, compute_uv=False), tuple(samples), "projection"
         del projection
         # The residual fell as ratio**(1/k) per sampled column; take as
         # many columns as reach the floor at that rate.
@@ -475,8 +474,8 @@ def _singular_values(matrix: np.ndarray, mass: float) -> tuple[np.ndarray, tuple
         # of the total mass of the SVD's.  eigvalsh copies G while G is held, two
         # square arrays where the SVD copies A once, so a real A keeps the SVD.
         gram = matrix @ matrix.conj().T if rows <= columns else matrix.conj().T @ matrix
-        return np.sqrt(np.linalg.eigvalsh(gram)[::-1].clip(min=0.0)), tuple(samples), False
-    return np.linalg.svd(matrix, compute_uv=False), tuple(samples), False
+        return np.sqrt(np.linalg.eigvalsh(gram)[::-1].clip(min=0.0)), tuple(samples), "gram"
+    return np.linalg.svd(matrix, compute_uv=False), tuple(samples), "svd"
 
 
 def schmidt_spectrum(wave: WaveGrid) -> SchmidtSpectrum:
@@ -485,10 +484,10 @@ def schmidt_spectrum(wave: WaveGrid) -> SchmidtSpectrum:
     ``_SUPPORT_FLOOR`` and ``_DISCARD_FLOOR`` allow."""
     _check_norm(wave, "the input state")
     kept, mass = _support(wave.amplitudes)
-    singular, samples, projected = _singular_values(kept, mass)
+    singular, samples, route = _singular_values(kept, mass)
     weights = singular**2 * (wave.grid.dx1 * wave.grid.dx2)
     weights = weights / weights.sum()
-    return SchmidtSpectrum(weights[weights > _WEIGHT_FLOOR], kept.shape, samples, projected)
+    return SchmidtSpectrum(weights[weights > _WEIGHT_FLOOR], kept.shape, samples, route)
 
 
 def schmidt_entropy(wave: WaveGrid) -> float:

@@ -11,6 +11,11 @@ import pytest
 import hcscatter
 from hcscatter.cli import _build_parser, _linspace, _resolve, main
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 
 def run_csv_rows(path):
     """Split a CSV output file into ('#' metadata dict, header, data rows)."""
@@ -625,13 +630,15 @@ class TestConfigFile:
         assert json.loads(capsys.readouterr().out)["mu1"] == 0.3
 
 
-def run_python(*args):
-    """Run a fresh interpreter that imports this hcscatter."""
+def run_python(*args, env=None, preexec_fn=None):
+    """Run a fresh interpreter that imports this hcscatter, with ``env``
+    added to the environment and ``preexec_fn`` run in the child first."""
     src = str(Path(hcscatter.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    env = {**os.environ, **(env or {}),
+           "PYTHONPATH": src if not path else src + os.pathsep + path}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          check=False)
+                          check=False, preexec_fn=preexec_fn)
 
 
 class TestModuleEntry:
@@ -721,3 +728,19 @@ class TestOutputErrors:
         code = main(["single", "--mu1", "0.25",
                      "--out", "/nonexistent-dir/report.csv"])
         assert code == 3
+
+
+class TestOutOfMemory:
+    # Linux enforces RLIMIT_AS; macOS accepts it and allocates anyway.
+    @pytest.mark.skipif(resource is None or not sys.platform.startswith("linux"),
+                        reason="needs an enforced address-space limit")
+    @pytest.mark.parametrize("argv", [["oracle-check"], ["transient", "--points", "1"]])
+    def test_grid_too_large_for_memory_is_a_validation_error(self, argv):
+        # The 20000^2 amplitudes take 3.2 GB real or 6.4 GB complex, past a
+        # 2 GiB address space set on the child alone.
+        limit = 2 << 30
+        done = run_python(
+            "-m", "hcscatter", *argv, "--grid-n", "20000", env={"OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: {argv[0]} ran out of memory at grid_n=20000\n"

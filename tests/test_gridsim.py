@@ -312,21 +312,20 @@ def unit_wave(matrix):
 
 def checked_spectrum(wave):
     """``schmidt_spectrum(wave)``, each of its weights checked against the
-    full SVD's.  A projected or real input's must lie within 1e-16 (the
-    projection's certified bound), plus 10 eps of the largest weight for the
-    rounding of the two SVDs: the full SVD of the transposed matrix alone
-    differs from the full SVD by up to 3 eps of it on these states.  A
-    complex input that falls through takes the Gram route, whose weights
-    lie within (rows + columns) eps of the unit total mass, rows and columns
-    those of the kept matrix.  The weights the record leaves out must be
+    full SVD's.  On the "projection" and "svd" routes they must lie within
+    1e-16 (the projection's certified bound), plus 10 eps of the largest
+    weight for the rounding of the two SVDs: the full SVD of the transposed
+    matrix alone differs from the full SVD by up to 3 eps of it on these
+    states.  On the "gram" route they lie within (rows + columns) eps of
+    the unit total mass, rows and columns those of the kept matrix.  The weights the record leaves out must be
     those of the full SVD below the 1e-14 floor."""
     spectrum = schmidt_spectrum(wave)
     full = schmidt_weights(wave.amplitudes)
     eps = np.finfo(float).eps
-    if spectrum.projected or np.isrealobj(wave.amplitudes):
-        tolerance = 1e-16 + 10.0 * eps * full[0]
-    else:
+    if spectrum.route == "gram":
         tolerance = sum(spectrum.kept_shape) * eps
+    else:
+        tolerance = 1e-16 + 10.0 * eps * full[0]
     kept = len(spectrum.weights)
     assert np.abs(spectrum.weights - full[:kept]).max() <= tolerance
     assert full[kept:].max(initial=0.0) <= 1e-14 + tolerance
@@ -399,7 +398,7 @@ class TestCertifiedSpectrum:
         # The oracle-check default state (its momentum only moves the
         # split-off plane wave).
         spectrum = schmidt_spectrum(reflected_state(reference_params, grid_n=512))
-        assert spectrum.projected and spectrum.samples[-1] < 128
+        assert spectrum.route == "projection" and spectrum.samples[-1] < 128
 
     def test_slow_decay_falls_back_to_the_full_svd(self, monkeypatch):
         # At xi = 0.97 the first 32 columns leave 59% of the mass out; the
@@ -407,7 +406,7 @@ class TestCertifiedSpectrum:
         # itself, being real, goes to the SVD.
         wave = unit_wave(spectrum_matrix(0.97 ** np.arange(512)))
         spectrum = checked_spectrum(wave)
-        assert (spectrum.samples, spectrum.projected) == ((32,), False)
+        assert (spectrum.samples, spectrum.route) == ((32,), "svd")
         calls = linalg_calls(monkeypatch)
         schmidt_spectrum(wave)
         assert calls == [("svd", (512, 512))]
@@ -423,7 +422,7 @@ class TestCertifiedSpectrum:
             0.97 ** np.arange(min(shape)), shape=shape, dtype=complex)
         wave = unit_wave(matrix)
         spectrum = checked_spectrum(wave)
-        assert (spectrum.kept_shape, spectrum.samples, spectrum.projected) == (shape, (32,), False)
+        assert (spectrum.kept_shape, spectrum.samples, spectrum.route) == (shape, (32,), "gram")
         calls = linalg_calls(monkeypatch)
         schmidt_spectrum(wave)
         assert calls == [("eigvalsh", (min(shape), min(shape)))]
@@ -434,13 +433,13 @@ class TestCertifiedSpectrum:
         # leaves ~1e-12 of the mass out.  A third sample is not tried.
         weights = np.concatenate([0.5 ** np.arange(32), 0.5**32 * 0.8 ** np.arange(480)])
         spectrum = checked_spectrum(unit_wave(spectrum_matrix(weights)))
-        assert (spectrum.samples, spectrum.projected) == ((32, 64), False)
+        assert (spectrum.samples, spectrum.route) == ((32, 64), "svd")
 
     def test_fast_decay_restarts_with_a_larger_sample(self):
         # At xi = 0.6, 32 columns leave ~1e-6 of the mass out; the decay
         # sizes one new sample, which passes.
         spectrum = checked_spectrum(unit_wave(spectrum_matrix(0.6 ** np.arange(512))))
-        assert spectrum.projected and len(spectrum.samples) == 2
+        assert spectrum.route == "projection" and len(spectrum.samples) == 2
         assert spectrum.samples[0] == 32 < spectrum.samples[1] <= 128
 
     @pytest.mark.parametrize("fraction, accepted", [(0.5e-16, True), (2e-16, False)])
@@ -451,7 +450,7 @@ class TestCertifiedSpectrum:
         assert np.sum(matrix[32:] ** 2) / np.sum(matrix**2) == pytest.approx(fraction, rel=0.05)
         spectrum = checked_spectrum(unit_wave(matrix))
         assert spectrum.samples[0] == 32
-        assert (spectrum.samples == (32,) and spectrum.projected) == accepted
+        assert (spectrum.samples == (32,) and spectrum.route == "projection") == accepted
 
     def test_mid_bounce_state_gets_the_gram_eigenproblem(self, monkeypatch):
         # The default transient state at t_c: no sample can take it, and
@@ -460,7 +459,7 @@ class TestCertifiedSpectrum:
         wave = collision_state(params, params.collision_time, grid_n=512)
         calls = linalg_calls(monkeypatch)
         spectrum = schmidt_spectrum(wave)
-        assert not spectrum.projected
+        assert spectrum.route == "gram"
         side = min(spectrum.kept_shape)
         assert calls == [("eigvalsh", (side, side))]
 
@@ -496,9 +495,9 @@ class TestSupportTrim:
         reference, reference_mass = masked_support(wave.amplitudes)
         assert np.array_equal(kept, reference)
         assert mass == pytest.approx(reference_mass, rel=1e-13)
-        singular, samples, projected = gridsim._singular_values(kept, mass)
+        singular, samples, route = gridsim._singular_values(kept, mass)
         expected, *record = gridsim._singular_values(reference, reference_mass)
-        assert [samples, projected] == record
+        assert [samples, route] == record
         # The view and the copy differ in their row stride only.
         assert np.abs(singular - expected).max() <= 4.0 * np.finfo(float).eps * expected[0]
 
@@ -617,7 +616,7 @@ class TestBlockedSampler:
         spectrum = schmidt_spectrum(wave)
         reference = schmidt_spectrum(WaveGrid(dense, wave.grid))
         assert spectrum.kept_shape == reference.kept_shape
-        assert (spectrum.samples, spectrum.projected) == (reference.samples, reference.projected)
+        assert (spectrum.samples, spectrum.route) == (reference.samples, reference.route)
         assert abs(spectrum.entropy - reference.entropy) <= 1e-13
 
     @pytest.mark.parametrize("n", [100, 512])
