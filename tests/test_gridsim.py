@@ -317,8 +317,9 @@ def checked_spectrum(wave):
     weight for the rounding of the two SVDs: the full SVD of the transposed
     matrix alone differs from the full SVD by up to 3 eps of it on these
     states.  On the "gram" route they lie within (rows + columns) eps of
-    the unit total mass, rows and columns those of the kept matrix.  The weights the record leaves out must be
-    those of the full SVD below the 1e-14 floor."""
+    the unit total mass, rows and columns those of the kept matrix.  The
+    weights the record leaves out must be those of the full SVD below the
+    1e-14 floor."""
     spectrum = schmidt_spectrum(wave)
     full = schmidt_weights(wave.amplitudes)
     eps = np.finfo(float).eps
