@@ -17,9 +17,10 @@ stamp of ``perfbench/run.py``.  Per side it records
   from the warm calls after it;
 * the split of the default ``transient`` state (n = 512) at t = 0, at
   the estimated collision time t_c and at 2.5 t_c, and of the default
-  ``oracle-check`` state at n = 512 and 1024, into sampling (through the
-  public samplers, so it includes the sampler's own norm check), norm
-  check and Schmidt spectrum;
+  ``oracle-check`` state at n = 512 and 1024, and of an ``oracle-check``
+  state at n = 894 whose first range sample fails (``FALL_THROUGH``), into
+  sampling (through the public samplers, so it includes the sampler's own
+  norm check), norm check and Schmidt spectrum;
 * the ``tracemalloc`` peak, in bytes, of one sampling call of each of
   those states, its result included, and of one ``schmidt_spectrum``
   call on it;
@@ -59,6 +60,10 @@ SPLIT_REPEATS = 5
 ORACLE_NS = (512, 1024)
 TRANSIENT_N = 512
 TRANSIENT_POINTS = (("t=0", 0.0), ("t_c", 1.0), ("2.5 t_c", 2.5))
+# A real oracle-check state whose first range sample fails and whose
+# residual rate would size a restart past a quarter of the side.
+FALL_THROUGH = {"mu1": 0.6911708539815785, "sigma1_sq": 132.0701346767239}
+FALL_THROUGH_N = 894
 CLI = "import sys; from hcscatter.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -129,6 +134,9 @@ def measure() -> dict:
         f"oracle-check n={n}": lambda n=n: gridsim.reflected_state(oracle, grid_n=n)
         for n in ORACLE_NS
     })
+    fall_through = cli._resolve("oracle-check", FALL_THROUGH, {}).params
+    states[f"oracle-check n={FALL_THROUGH_N} fall-through"] = (
+        lambda: gridsim.reflected_state(fall_through, grid_n=FALL_THROUGH_N))
     for label, sample in states.items():
         (record["split_s"][label], record["lapack"][label],
          record["schmidt_peak_bytes"][label]) = _split(gridsim, sample)

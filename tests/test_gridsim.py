@@ -403,14 +403,15 @@ class TestCertifiedSpectrum:
 
     def test_slow_decay_falls_back_to_the_full_svd(self, monkeypatch):
         # At xi = 0.97 the first 32 columns leave 59% of the mass out; the
-        # sample that decay asks for, ~2200 columns, is past n/4, so A
-        # itself, being real, goes to the SVD.
+        # weights of their 32 x 512 projection fit xi ~ 0.95 and ask for a
+        # restart of ~790 columns, past n/3, so A itself, being real, goes
+        # to the SVD.
         wave = unit_wave(spectrum_matrix(0.97 ** np.arange(512)))
         spectrum = checked_spectrum(wave)
         assert (spectrum.samples, spectrum.route) == ((32,), "svd")
         calls = linalg_calls(monkeypatch)
         schmidt_spectrum(wave)
-        assert calls == [("svd", (512, 512))]
+        assert calls == [("svd", (32, 512)), ("svd", (512, 512))]
 
     @pytest.mark.parametrize("shape", [(400, 300), (300, 400)])
     def test_complex_slow_decay_takes_the_gram_route(self, shape, monkeypatch):
@@ -430,11 +431,41 @@ class TestCertifiedSpectrum:
 
     def test_failed_restart_falls_back_to_the_full_svd(self):
         # Weights that halve for 32 indices, then fall by only 0.8 per
-        # index: the first sample sizes a restart of 64 columns, which
-        # leaves ~1e-12 of the mass out.  A third sample is not tried.
+        # index: the first sample sizes a restart of 64 columns (its weights
+        # fit xi = 0.5 and ask for 76), which leaves ~1e-12 of the mass out.
+        # A third sample is not tried.
         weights = np.concatenate([0.5 ** np.arange(32), 0.5**32 * 0.8 ** np.arange(480)])
         spectrum = checked_spectrum(unit_wave(spectrum_matrix(weights)))
         assert (spectrum.samples, spectrum.route) == ((32, 64), "svd")
+
+    def test_real_state_restarts_from_its_first_weights(self):
+        # An oracle-check state whose first sample leaves 8.5e-3 of the mass
+        # out: at that residual rate the restart would need 248 columns, past
+        # a quarter of the side, but the sample's weights decay as the
+        # spectrum does, xi = 0.72, and size one that passes.
+        mu = MassFractions(0.6911708539815785)
+        params = ScatterParams(mu.mu1, mu.mu2, 132.0701346767239, 1.0, core_radius=0.5,
+                               fractions=mu)
+        wave = reflected_state(params, grid_n=894)
+        spectrum = checked_spectrum(wave)
+        assert spectrum.route == "projection" and spectrum.samples[0] == 32
+        assert len(spectrum.weights) < spectrum.samples[1] <= 894 // 3
+        assert abs(spectrum.entropy - full_svd_entropy(wave)) <= 1e-13
+
+    def test_high_rank_real_state_tries_no_restart(self, monkeypatch):
+        # An oracle-check state with over 200 weights above 1e-16 of the mass
+        # at n = 464: the first sample's weights ask for more than a third of
+        # the side, so after their 32 x 464 projection the kept matrix goes
+        # whole to the SVD.
+        mu = MassFractions(0.7133279983600679)
+        params = ScatterParams(mu.mu1, mu.mu2, 692.2910443694004, 1.0, core_radius=0.5,
+                               fractions=mu)
+        wave = reflected_state(params, grid_n=464)
+        spectrum = checked_spectrum(wave)
+        assert (spectrum.kept_shape, spectrum.samples, spectrum.route) == ((464, 464), (32,), "svd")
+        calls = linalg_calls(monkeypatch)
+        schmidt_spectrum(wave)
+        assert calls == [("svd", (32, 464)), ("svd", (464, 464))]
 
     def test_fast_decay_restarts_with_a_larger_sample(self):
         # At xi = 0.6, 32 columns leave ~1e-6 of the mass out; the decay
