@@ -99,9 +99,9 @@ _FIRST_SAMPLE = 32
 _BLOCK_ROWS = 64
 # Range samples tried before A itself is decomposed.  A restart reaches the
 # floor at the first sample's residual rate or, for a real A if fewer, takes
-# 16 plus 1.15 times the weights above it of a fit w_0 xi^i to the sample's
-# w_0 and w_4: no such restart of 198 real oracle inputs failed.  It may take
-# a quarter of the side, a real A's a third, where its three n x k arrays
+# 16 plus 1.15 times the weights above it of a fit w_0 xi^i to w_0 and w_4 of
+# eigvalsh(B B^T): no such restart of 198 real oracle inputs failed.  It may
+# take a quarter of the side, a real A's a third, where its three n x k arrays
 # match the SVD's n^2 copy.  Complex restarts sized so fail after the bounce.
 _MAX_SAMPLES = 2
 _FIT, _MARGIN, _PAD = 4, 1.15, 16
@@ -470,7 +470,7 @@ def _singular_values(matrix: np.ndarray, mass: float) -> tuple[np.ndarray, tuple
             return np.linalg.svd(projection, compute_uv=False), tuple(samples), "projection"
         k = math.ceil(k * math.log(_DISCARD_FLOOR) / math.log(ratio)) if ratio < 1.0 else columns
         if len(samples) < _MAX_SAMPLES and not np.iscomplexobj(matrix):
-            (w0, wj), share = np.linalg.svd(projection, compute_uv=False)[[0, _FIT]] ** 2, 3
+            (wj, w0), share = np.linalg.eigvalsh(projection @ projection.T)[[-1 - _FIT, -1]], 3
             if 0.0 < wj < w0:
                 above = math.log(max(w0 / (_DISCARD_FLOOR * mass), 1.0)) / math.log(w0 / wj)
                 k = min(k, math.ceil(_MARGIN * _FIT * above) + _PAD)

@@ -485,9 +485,7 @@ class TestOracleCheck:
 
     def test_svd_input_is_real(self, monkeypatch, capsys):
         # The reflected state at t = 0 is sampled without its separable
-        # plane wave, so LAPACK gets float64 matrices: at n = 128 the first
-        # sample's 32-column projection, whose weights size a restart past a
-        # third of the side, then the kept matrix itself.
+        # plane wave, so LAPACK gets a float64 matrix.
         dtypes = []
         svd = np.linalg.svd
 
@@ -497,7 +495,7 @@ class TestOracleCheck:
 
         monkeypatch.setattr(np.linalg, "svd", spy)
         assert main(["oracle-check", "--grid-n", "128"]) == 0
-        assert dtypes == [np.float64, np.float64]
+        assert dtypes == [np.float64]
 
     def test_starved_grid_is_a_coverage_error(self, capsys):
         # At width ratio 100 the reflected state is a ridge narrower than

@@ -403,15 +403,15 @@ class TestCertifiedSpectrum:
 
     def test_slow_decay_falls_back_to_the_full_svd(self, monkeypatch):
         # At xi = 0.97 the first 32 columns leave 59% of the mass out; the
-        # weights of their 32 x 512 projection fit xi ~ 0.95 and ask for a
-        # restart of ~790 columns, past n/3, so A itself, being real, goes
-        # to the SVD.
+        # weights of their projection B, eigenvalues of the 32 x 32 B B^T,
+        # fit xi ~ 0.95 and ask for a restart of ~790 columns, past n/3, so A
+        # itself, being real, goes to the SVD.
         wave = unit_wave(spectrum_matrix(0.97 ** np.arange(512)))
         spectrum = checked_spectrum(wave)
         assert (spectrum.samples, spectrum.route) == ((32,), "svd")
         calls = linalg_calls(monkeypatch)
         schmidt_spectrum(wave)
-        assert calls == [("svd", (32, 512)), ("svd", (512, 512))]
+        assert calls == [("eigvalsh", (32, 32)), ("svd", (512, 512))]
 
     @pytest.mark.parametrize("shape", [(400, 300), (300, 400)])
     def test_complex_slow_decay_takes_the_gram_route(self, shape, monkeypatch):
@@ -455,8 +455,8 @@ class TestCertifiedSpectrum:
     def test_high_rank_real_state_tries_no_restart(self, monkeypatch):
         # An oracle-check state with over 200 weights above 1e-16 of the mass
         # at n = 464: the first sample's weights ask for more than a third of
-        # the side, so after their 32 x 464 projection the kept matrix goes
-        # whole to the SVD.
+        # the side, so after their eigenvalues the kept matrix goes whole to
+        # the SVD.
         mu = MassFractions(0.7133279983600679)
         params = ScatterParams(mu.mu1, mu.mu2, 692.2910443694004, 1.0, core_radius=0.5,
                                fractions=mu)
@@ -465,7 +465,7 @@ class TestCertifiedSpectrum:
         assert (spectrum.kept_shape, spectrum.samples, spectrum.route) == ((464, 464), (32,), "svd")
         calls = linalg_calls(monkeypatch)
         schmidt_spectrum(wave)
-        assert calls == [("svd", (32, 464)), ("svd", (464, 464))]
+        assert calls == [("eigvalsh", (32, 32)), ("svd", (464, 464))]
 
     def test_fast_decay_restarts_with_a_larger_sample(self):
         # At xi = 0.6, 32 columns leave ~1e-6 of the mass out; the decay
