@@ -438,18 +438,23 @@ class TestCertifiedSpectrum:
         spectrum = checked_spectrum(unit_wave(spectrum_matrix(weights)))
         assert (spectrum.samples, spectrum.route) == ((32, 64), "svd")
 
-    def test_real_state_restarts_from_its_first_weights(self):
-        # An oracle-check state whose first sample leaves 8.5e-3 of the mass
-        # out: at that residual rate the restart would need 248 columns, past
-        # a quarter of the side, but the sample's weights decay as the
-        # spectrum does, xi = 0.72, and size one that passes.
-        mu = MassFractions(0.6911708539815785)
-        params = ScatterParams(mu.mu1, mu.mu2, 132.0701346767239, 1.0, core_radius=0.5,
-                               fractions=mu)
-        wave = reflected_state(params, grid_n=894)
+    @pytest.mark.parametrize("mu1, sigma1_sq, n", [
+        (0.6911708539815785, 132.0701346767239, 894),
+        (0.6515711703498928, 795.5904201769049, 671),
+    ])
+    def test_real_state_restarts_from_its_first_weights(self, mu1, sigma1_sq, n):
+        # oracle-check states whose first sample leaves 8.5e-3 (n = 894) and
+        # 0.19 (n = 671) of the mass out: at that residual rate the restart
+        # would need 248 and 718 columns, past a quarter of the side, but
+        # the sample's weights decay as the spectrum does and size one that
+        # passes; at n = 671 it takes 216 columns, more than a quarter of
+        # the side and less than a third.
+        mu = MassFractions(mu1)
+        params = ScatterParams(mu.mu1, mu.mu2, sigma1_sq, 1.0, core_radius=0.5, fractions=mu)
+        wave = reflected_state(params, grid_n=n)
         spectrum = checked_spectrum(wave)
         assert spectrum.route == "projection" and spectrum.samples[0] == 32
-        assert len(spectrum.weights) < spectrum.samples[1] <= 894 // 3
+        assert len(spectrum.weights) < spectrum.samples[1] <= n // 3
         assert abs(spectrum.entropy - full_svd_entropy(wave)) <= 1e-13
 
     def test_high_rank_real_state_tries_no_restart(self, monkeypatch):
