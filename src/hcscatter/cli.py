@@ -209,7 +209,7 @@ def run_single(cfg: SweepConfig) -> dict:
         "d_asymptotic": d_asymptotic(mu.mu1, params.width_ratio),
         "entropy_bits": entropy,
         "purity": purity,
-        "classification": is_zero_entanglement(params).value,
+        "classification": is_zero_entanglement(params),
     }
 
 
@@ -431,13 +431,15 @@ def main(argv=None) -> int:
     parser, types = _build_parser()
     args = parser.parse_args(argv)
     flags = {k: v for k, v in vars(args).items() if k in types and v is not None}
+    cfg = None
     try:
         file_values = {} if args.config is None else parse_config_file(args.config, types)
         cfg = _resolve(args.mode, flags, file_values)
         record = MODES[cfg.mode].run(cfg)
         _emit(record, cfg)
     except MemoryError:
-        print(f"error: {cfg.mode} ran out of memory at grid_n={cfg.grid_n}", file=sys.stderr)
+        where = "" if cfg is None else f" at grid_n={cfg.grid_n}"
+        print(f"error: {args.mode} ran out of memory{where}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ValueError, OSError) as exc:  # CoverageError included
         print(f"error: {exc}", file=sys.stderr)

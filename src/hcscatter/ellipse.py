@@ -9,7 +9,7 @@ equal area, det M = 1 / (sigma1^2 sigma2^2).  The tilt angle and the
 stretch of the axes encode how much entanglement was generated; in the
 wide-packet limit sigma1 >> sigma2 both reduce to expressions in mu1,
 which degrade below width ratio 10 (the CLI's ellipse mode warns there).
-``EllipseShape.from_axes`` is the one rule that orders a pair of axes.
+``EllipseShape.from_axes`` alone orders a pair of axes and reduces a tilt.
 Results are plain floats, tuples and lists; the module needs no numpy.
 """
 
@@ -50,10 +50,12 @@ class EllipseShape:
     @classmethod
     def from_axes(cls, first: float, second: float, angle_rad: float) -> "EllipseShape":
         """Semi-axis ``first`` along ``angle_rad``, ``second`` across it; the
-        longer comes first (a swap turns the tilt by pi/2), tilt mod pi."""
+        longer comes first (a swap turns the tilt by pi/2), tilt mod pi; a
+        tilt just below 0 that rounds onto pi is reported as 0."""
         if second > first:
             first, second, angle_rad = second, first, angle_rad + 0.5 * math.pi
-        return cls(first, second, angle_rad % math.pi)
+        angle_rad %= math.pi
+        return cls(first, second, 0.0 if angle_rad == math.pi else angle_rad)
 
     @property
     def area(self) -> float:
@@ -120,13 +122,10 @@ def scattered_ellipse(mu: MassFractions, sigma1_sq: float, sigma2_sq: float) -> 
         return EllipseShape(radius, radius, 0.0)
     # The long axis lies at half the angle of the vector (c - a, -2b).
     # Unlike an eigenvector built from the small eigenvalue, this keeps its
-    # relative accuracy when b is tiny.  A tilt just below 0 can round onto
-    # pi in the reduction; that is reported as 0.
-    angle = 0.5 * math.atan2(-2.0 * b, c - a) % math.pi
-    if angle == math.pi:
-        angle = 0.0
+    # relative accuracy when b is tiny.
     root_high = math.sqrt(lam_high)
-    return EllipseShape(math.ldexp(root_det * root_high, k), math.ldexp(1.0 / root_high, k), angle)
+    long, short = math.ldexp(root_det * root_high, k), math.ldexp(1.0 / root_high, k)
+    return EllipseShape.from_axes(long, short, 0.5 * math.atan2(-2.0 * b, c - a))
 
 
 def stretch_polynomial(x: float) -> float:

@@ -10,7 +10,6 @@ width ratio; positions, momentum and core radius drop out.
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 from dataclasses import dataclass, field
@@ -19,7 +18,6 @@ from .covariance import MassFractions
 
 __all__ = [
     "ScatterParams",
-    "ZeroEntanglementClass",
     "is_zero_entanglement",
     "d_asymptotic",
 ]
@@ -29,14 +27,6 @@ _LOCUS_TOL = 1e-9
 
 # momentum ** 2, the rate of the packets' free phase, overflows above ~1.34e154.
 _MAX_MOMENTUM = 1e154
-
-
-class ZeroEntanglementClass(enum.Enum):
-    """Which exact condition, if any, forces vanishing entanglement."""
-
-    EQUAL_MASS = "EqualMass"
-    WIDTH_MASS_BALANCE = "WidthMassBalance"
-    NONE = "None"
 
 
 @dataclass(frozen=True)
@@ -130,8 +120,9 @@ class ScatterParams:
         return (self.q1 + self.q2 - self.core_radius) * (self.mass1 * self.mass2) / self.momentum
 
 
-def is_zero_entanglement(params: ScatterParams) -> ZeroEntanglementClass:
-    """Classify whether the scenario sits on a zero-entanglement locus.
+def is_zero_entanglement(params: ScatterParams) -> str:
+    """Label the exact condition, if any, that forces vanishing entanglement:
+    ``"EqualMass"``, ``"WidthMassBalance"`` or ``"None"``.
 
     Equal masses are detected with an absolute tolerance on |mu1 - mu2|
     (fractions are already normalized); the width/mass balance
@@ -140,12 +131,12 @@ def is_zero_entanglement(params: ScatterParams) -> ZeroEntanglementClass:
     """
     mu = params.fractions
     if abs(mu.delta) <= _LOCUS_TOL:
-        return ZeroEntanglementClass.EQUAL_MASS
+        return "EqualMass"
     lhs = mu.mu1 * params.sigma1_sq
     rhs = mu.mu2 * params.sigma2_sq
     if abs(lhs - rhs) <= _LOCUS_TOL * max(lhs, rhs):
-        return ZeroEntanglementClass.WIDTH_MASS_BALANCE
-    return ZeroEntanglementClass.NONE
+        return "WidthMassBalance"
+    return "None"
 
 
 def d_asymptotic(mu1: float, width_ratio: float) -> float:

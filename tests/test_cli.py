@@ -611,6 +611,17 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}:2: {key}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("line, message", [
+        ("mu1 0.3", "{cfg}:2: expected 'key = value', got 'mu1 0.3\\n'"),
+        # argparse's choices check only the --format flag.
+        ("format = xml", "format must be csv or json, got 'xml'"),
+    ])
+    def test_malformed_line_or_format_is_rejected(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# scenario\n{line}\n")
+        assert main(["single", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", "error: " + message.format(cfg=cfg) + "\n")
+
     def test_missing_config_file_is_io_error(self, capsys):
         assert main(["single", "--config", "/nonexistent/run.cfg"]) == 3
 
@@ -731,6 +742,13 @@ class TestOutputErrors:
 
 
 class TestOutOfMemory:
+    def test_before_the_configuration_exists(self, monkeypatch, capsys):
+        def exhausted(path, types):
+            raise MemoryError
+        monkeypatch.setattr("hcscatter.cli.parse_config_file", exhausted)
+        assert main(["transient", "--config", "run.cfg"]) == 2
+        assert capsys.readouterr() == ("", "error: transient ran out of memory\n")
+
     # Linux enforces RLIMIT_AS; macOS accepts it and allocates anyway.
     @pytest.mark.skipif(resource is None or not sys.platform.startswith("linux"),
                         reason="needs an enforced address-space limit")

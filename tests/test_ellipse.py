@@ -273,6 +273,11 @@ class TestApproxFinalEllipse:
         with pytest.raises(ValueError, match="mu1"):
             approx_final_ellipse(0.0, 10.0, 1.0)
 
+    @pytest.mark.parametrize("sigma1, sigma2", [(0.0, 1.0), (10.0, -1.0)])
+    def test_rejects_nonpositive_widths(self, sigma1, sigma2):
+        with pytest.raises(ValueError, match="positive"):
+            approx_final_ellipse(0.25, sigma1, sigma2)
+
     @pytest.mark.parametrize("mu1", [0.2, 0.25, 0.3])
     def test_narrow_wide_packet_swaps_axes(self, mu1):
         # At ratio 1.5 the approximate axis along packet 1 comes out the
@@ -304,6 +309,12 @@ class TestEllipseShape:
         assert EllipseShape.from_axes(0.5, 2.0, 0.0) == EllipseShape(2.0, 0.5, 0.5 * math.pi)
         turned = EllipseShape.from_axes(0.5, 2.0, 0.75 * math.pi)
         assert turned.angle_rad == pytest.approx(0.25 * math.pi, rel=1e-15)
+
+    def test_from_axes_reports_a_tilt_rounding_onto_pi_as_zero(self):
+        # -1e-17 mod pi rounds to pi itself, outside [0, pi).
+        assert EllipseShape.from_axes(2.0, 1.0, -1e-17) == EllipseShape(2.0, 1.0, 0.0)
+        # Just off the balance locus mu1 s1 = mu2 s2 the exact tilt is as small.
+        assert scattered_ellipse(MassFractions(0.3), 7.0, 2.999999999999999).angle_rad == 0.0
 
     def test_boundary_points_match_the_numpy_route(self):
         # Plain float pairs, bit for bit the numpy evaluation the CLI's

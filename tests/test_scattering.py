@@ -15,7 +15,6 @@ from hcscatter.covariance import (
 )
 from hcscatter.scattering import (
     ScatterParams,
-    ZeroEntanglementClass,
     d_asymptotic,
     is_zero_entanglement,
 )
@@ -169,27 +168,27 @@ class TestAsymptoticEntanglement:
 class TestZeroEntanglementClassification:
     def test_equal_masses(self):
         params = ScatterParams(3.0, 3.0, 7.0, 1.0)
-        assert is_zero_entanglement(params) is ZeroEntanglementClass.EQUAL_MASS
+        assert is_zero_entanglement(params) == "EqualMass"
 
     def test_width_mass_balance(self):
         params = ScatterParams(0.25, 0.75, 3.0, 1.0)
-        assert is_zero_entanglement(params) is ZeroEntanglementClass.WIDTH_MASS_BALANCE
+        assert is_zero_entanglement(params) == "WidthMassBalance"
 
     def test_generic_case(self):
         params = ScatterParams(0.7, 0.3, 1.0, 1.0)
-        assert is_zero_entanglement(params) is ZeroEntanglementClass.NONE
+        assert is_zero_entanglement(params) == "None"
 
     def test_equal_mass_takes_precedence(self):
         # Equal masses and equal widths satisfy both conditions at once.
         params = ScatterParams(1.0, 1.0, 1.0, 1.0)
-        assert is_zero_entanglement(params) is ZeroEntanglementClass.EQUAL_MASS
+        assert is_zero_entanglement(params) == "EqualMass"
 
     def test_tolerance_widens_the_balance_band(self):
         # The balance 0.25 s1 = 0.75 holds at s1 = 3 to a relative 1e-9.
         inside = ScatterParams(0.25, 0.75, 3.0 * (1.0 + 5e-10), 1.0)
         outside = ScatterParams(0.25, 0.75, 3.0 * (1.0 + 2e-9), 1.0)
-        assert is_zero_entanglement(inside) is ZeroEntanglementClass.WIDTH_MASS_BALANCE
-        assert is_zero_entanglement(outside) is ZeroEntanglementClass.NONE
+        assert is_zero_entanglement(inside) == "WidthMassBalance"
+        assert is_zero_entanglement(outside) == "None"
 
     def test_classified_scenarios_carry_no_entropy(self):
         equal = ScatterParams(2.0, 2.0, 5.0, 1.0)
