@@ -26,11 +26,12 @@ stamp of ``perfbench/run.py``.  Per side it records
   call on it;
 * for each of those states, what the Schmidt stage hands LAPACK, read
   from the ``gridsim.schmidt_spectrum`` record of its last timed call:
-  the column count of every range sample tried, the shape of the matrix
-  left after the support trim, the dtype of the amplitudes, and ``k``,
-  the sample the SVD's input was projected on, or, when the kept matrix
-  itself is used, the record's route: "svd" for a real one, "gram" for
-  a complex one, whose Gram matrix's eigenvalues are taken.
+  the column count of every range sample tried (at most one for a
+  complex state, since only a real kept matrix restarts), the shape of
+  the matrix left after the support trim, the dtype of the amplitudes,
+  and ``k``, the sample the SVD's input was projected on, or, when the
+  kept matrix itself is used, the record's route: "svd" for a real one,
+  "gram" for a complex one, whose Gram matrix's eigenvalues are taken.
 
 Times are medians over all samples; the samples are kept too.  Both
 sides run this script's ``measure``, so OTHER_CHECKOUT must have

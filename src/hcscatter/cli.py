@@ -19,6 +19,7 @@ import math
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 from .covariance import MassFractions, d_minus_half, entropy_from_d_minus_half, purity_from_d
 from .ellipse import EllipseShape, approx_final_ellipse, scattered_ellipse
@@ -148,10 +149,6 @@ def _resolve(mode: str, flags: dict, file_values: dict) -> SweepConfig:
         fractions = MassFractions(merged["mu1"])
         masses = fractions.mu1, fractions.mu2
 
-    fmt = merged["format"]
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
-
     points, fewest = int(merged.get("points", 0)), MODES[mode].min_points
     if fewest and points < fewest:
         raise ValueError(f"{mode} needs at least {fewest} point{'s' * (fewest > 1)}, got {points}")
@@ -174,7 +171,7 @@ def _resolve(mode: str, flags: dict, file_values: dict) -> SweepConfig:
         t_start=merged.get("t_start"),
         t_stop=merged.get("t_stop"),
         out=merged.get("out"),
-        fmt=fmt,
+        fmt=merged["format"],
     )
 
 
@@ -387,8 +384,8 @@ def _emit(record: dict, cfg: SweepConfig) -> None:
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The CLI parser, and the type of each scenario and numerics key,
-    which configuration files share with the flags."""
+    """The CLI parser, and the type of each scenario and numerics key, which configuration
+    files share with the flags; for a flag with choices, that type checks them in files."""
     parser = argparse.ArgumentParser(
         prog="hcscatter",
         usage="%(prog)s [-h] mode [options]",
@@ -423,7 +420,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     ]
     numerics.add_argument("--config", help="flat key=value configuration file; "
                                            "explicit flags win")
-    types = {action.dest: action.type or str for action in keyed}
+    def one_of(choices, value: str) -> str:
+        if value not in choices:
+            raise ValueError(f"must be {' or '.join(choices)}, got {value!r}")
+        return value
+    types = {a.dest: partial(one_of, a.choices) if a.choices else a.type or str for a in keyed}
     return parser, types
 
 

@@ -97,12 +97,11 @@ _DISCARD_FLOOR = 1e-16
 # is sampled, and of the residual of every range sample.
 _FIRST_SAMPLE = 32
 _BLOCK_ROWS = 64
-# Range samples tried before A itself is decomposed.  A restart reaches the
-# floor at the first sample's residual rate or, for a real A if fewer, takes
-# 16 plus 1.15 times the weights above it of a fit w_0 xi^i to w_0 and w_4 of
-# eigvalsh(B B^T): no such restart of 198 real oracle inputs failed.  It may
-# take a quarter of the side, a real A's a third, where its three n x k arrays
-# match the SVD's n^2 copy.  Complex restarts sized so fail after the bounce.
+# Range samples tried before A itself is decomposed, the first on at most a quarter
+# of the side.  Only a real A restarts: complex restarts mostly failed.  The restart
+# reaches the floor at the first sample's residual rate or, if fewer, takes 16 plus
+# 1.15 times the weights above it of a fit w_0 xi^i to w_0 and w_4 of eigvalsh(B B^T),
+# on at most a third of the side, where its three n x k arrays match the SVD's n^2 copy.
 _MAX_SAMPLES = 2
 _FIT, _MARGIN, _PAD = 4, 1.15, 16
 
@@ -411,10 +410,10 @@ def collision_state(params: ScatterParams, t: float, *, grid_n: int = 512) -> Wa
 
 @dataclass(frozen=True)
 class SchmidtSpectrum:
-    """The Schmidt weights of a sampled state, renormalized to unit sum,
-    above ``_WEIGHT_FLOOR`` and largest first; the matrix shape left by the
-    ``_SUPPORT_FLOOR`` trim; the range samples' column counts, in order; and
-    the route: "projection" (the SVD of the last sample's projection), "svd"
+    """The Schmidt weights of a sampled state, renormalized to unit sum, above
+    ``_WEIGHT_FLOOR`` and largest first; the matrix shape left by the ``_SUPPORT_FLOOR``
+    trim; the range samples' column counts, in order, more than one only for a real kept
+    matrix; and the route: "projection" (the SVD of the last sample's projection), "svd"
     (a real kept matrix's) or "gram" (a complex one's Gram eigenvalues)."""
 
     weights: np.ndarray
@@ -443,14 +442,14 @@ def _support(amplitudes: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _singular_values(matrix: np.ndarray, mass: float) -> tuple[np.ndarray, tuple[int, ...], str]:
-    """Singular values of A = ``matrix``, whose |entries|^2 sum to at most
-    ``mass``, the range samples tried and the route (see ``SchmidtSpectrum``):
-    "projection" once a sample leaves out little enough; after ``_MAX_SAMPLES``
-    samples, or once k would pass its share of A's smaller side (``_MAX_SAMPLES``),
-    "svd" for a real A and "gram", eigvalsh of the smaller Gram matrix, for a complex A."""
+    """Singular values of A = ``matrix``, whose |entries|^2 sum to at most ``mass``, the
+    range samples tried and the route (see ``SchmidtSpectrum``): "projection" once a
+    sample leaves out little enough; else, after at most ``_MAX_SAMPLES`` samples, "svd"
+    for a real A, and after its first sample "gram", eigvalsh of the smaller Gram matrix."""
     rows, columns = matrix.shape
-    samples, k, share = [], _FIRST_SAMPLE, 4
-    while len(samples) < _MAX_SAMPLES and share * k <= min(rows, columns):
+    real = not np.iscomplexobj(matrix)
+    samples, k, share, tries = [], _FIRST_SAMPLE, 4, _MAX_SAMPLES if real else 1
+    while len(samples) < tries and share * k <= min(rows, columns):
         samples.append(k)
         # The middle column of each of k equal strips.
         sample = matrix[:, (2 * np.arange(k) + 1) * columns // (2 * k)]
@@ -469,21 +468,21 @@ def _singular_values(matrix: np.ndarray, mass: float) -> tuple[np.ndarray, tuple
         if ratio <= _DISCARD_FLOOR:
             return np.linalg.svd(projection, compute_uv=False), tuple(samples), "projection"
         k = math.ceil(k * math.log(_DISCARD_FLOOR) / math.log(ratio)) if ratio < 1.0 else columns
-        if len(samples) < _MAX_SAMPLES and not np.iscomplexobj(matrix):
+        if len(samples) < tries:
             (wj, w0), share = np.linalg.eigvalsh(projection @ projection.T)[[-1 - _FIT, -1]], 3
             if 0.0 < wj < w0:
                 above = math.log(max(w0 / (_DISCARD_FLOOR * mass), 1.0)) / math.log(w0 / wj)
                 k = min(k, math.ceil(_MARGIN * _FIT * above) + _PAD)
         del projection
-    if np.iscomplexobj(matrix):
-        # G's entries are inner products of length max(rows, columns), so
-        # ||dG||_2 <= gamma ||A||_F^2 (Higham, Accuracy and Stability, 3.5), and
-        # eigvalsh is backward stable: each weight is within (rows + columns) eps
-        # of the total mass of the SVD's.  eigvalsh copies G while G is held, two
-        # square arrays where the SVD copies A once, so a real A keeps the SVD.
-        gram = matrix @ matrix.conj().T if rows <= columns else matrix.conj().T @ matrix
-        return np.sqrt(np.linalg.eigvalsh(gram)[::-1].clip(min=0.0)), tuple(samples), "gram"
-    return np.linalg.svd(matrix, compute_uv=False), tuple(samples), "svd"
+    if real:
+        return np.linalg.svd(matrix, compute_uv=False), tuple(samples), "svd"
+    # G's entries are inner products of length max(rows, columns), so
+    # ||dG||_2 <= gamma ||A||_F^2 (Higham, Accuracy and Stability, 3.5), and
+    # eigvalsh is backward stable: each weight is within (rows + columns) eps
+    # of the total mass of the SVD's.  eigvalsh copies G while G is held, two
+    # square arrays where the SVD copies A once, so a real A keeps the SVD.
+    gram = matrix @ matrix.conj().T if rows <= columns else matrix.conj().T @ matrix
+    return np.sqrt(np.linalg.eigvalsh(gram)[::-1].clip(min=0.0)), tuple(samples), "gram"
 
 
 def schmidt_spectrum(wave: WaveGrid) -> SchmidtSpectrum:

@@ -613,8 +613,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("line, message", [
         ("mu1 0.3", "{cfg}:2: expected 'key = value', got 'mu1 0.3\\n'"),
-        # argparse's choices check only the --format flag.
-        ("format = xml", "format must be csv or json, got 'xml'"),
+        # argparse checks the --format flag's choices; the key's type checks the file's.
+        ("format = xml", "{cfg}:2: format: must be csv or json, got 'xml'"),
     ])
     def test_malformed_line_or_format_is_rejected(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "run.cfg"

@@ -7,6 +7,7 @@ import pytest
 
 from hcscatter import gridsim
 from hcscatter.covariance import MassFractions, d_minus_half, entropy_from_d_minus_half
+from hcscatter.ellipse import scattered_ellipse
 from hcscatter.gridsim import (
     CoverageError,
     GridSpec,
@@ -250,6 +251,32 @@ class TestReflectedState:
         assert dist1 <= 1e-6
         assert dist2 <= 1e-6
 
+    @pytest.mark.parametrize("params", [
+        *TRANSIENT_SCENARIOS,
+        # On the balance locus mu1 s1 = mu2 s2, tilt 0, and off it by 1/300,
+        # tilt 1.2e-3 below pi.
+        ScatterParams(0.25, 0.75, 3.0, 1.0, core_radius=0.5),
+        ScatterParams(0.25, 0.75, 3.01, 1.0, core_radius=0.5),
+    ])
+    def test_second_moments_give_the_scattered_ellipse(self, params):
+        # For psi ~ exp(-x^T M x / 2) the covariance of |psi|^2 is M^-1 / 2:
+        # the contour x^T M x = 1 has semi-axes sqrt(2 lambda) over the
+        # covariance's eigenvalues lambda, the long one along the larger's
+        # eigenvector.  The 6-sigma box, not n, limits the agreement to ~5e-8.
+        wave = reflected_state(params, grid_n=256)
+        density = np.abs(wave.amplitudes) ** 2 / np.sum(np.abs(wave.amplitudes) ** 2)
+        offsets = [x - marginal @ x for x, marginal in
+                   zip(wave.grid.axes(), (density.sum(axis=1), density.sum(axis=0)))]
+        cross = offsets[0] @ density @ offsets[1]
+        covariance = [[density.sum(axis=1) @ offsets[0] ** 2, cross],
+                      [cross, density.sum(axis=0) @ offsets[1] ** 2]]
+        (minor, major), vectors = np.linalg.eigh(covariance)
+        exact = scattered_ellipse(params.fractions, params.sigma1_sq, params.sigma2_sq)
+        assert math.sqrt(2.0 * major) == pytest.approx(exact.semi_major, rel=1e-6)
+        assert math.sqrt(2.0 * minor) == pytest.approx(exact.semi_minor, rel=1e-6)
+        tilt = math.atan2(vectors[1, 1], vectors[0, 1]) - exact.angle_rad
+        assert abs((tilt + 0.5 * math.pi) % math.pi - 0.5 * math.pi) <= 1e-7
+
 
 class TestSchmidtEntropy:
     def test_product_state_carries_no_entropy(self):
@@ -468,10 +495,15 @@ class TestCertifiedSpectrum:
 
     def test_fast_decay_restarts_with_a_larger_sample(self):
         # At xi = 0.6, 32 columns leave ~1e-6 of the mass out; the decay
-        # sizes one new sample, which passes.
-        spectrum = checked_spectrum(unit_wave(spectrum_matrix(0.6 ** np.arange(512))))
+        # sizes one new sample, which passes.  Only a real matrix restarts:
+        # the same spectrum with complex singular vectors goes from its first
+        # sample to the Gram route.
+        weights = 0.6 ** np.arange(512)
+        spectrum = checked_spectrum(unit_wave(spectrum_matrix(weights)))
         assert spectrum.route == "projection" and len(spectrum.samples) == 2
         assert spectrum.samples[0] == 32 < spectrum.samples[1] <= 128
+        spectrum = checked_spectrum(unit_wave(spectrum_matrix(weights, dtype=complex)))
+        assert (spectrum.samples, spectrum.route) == ((32,), "gram")
 
     @pytest.mark.parametrize("fraction, accepted", [(0.5e-16, True), (2e-16, False)])
     def test_first_sample_is_accepted_only_below_the_floor(self, fraction, accepted):
