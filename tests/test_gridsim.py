@@ -264,12 +264,12 @@ class TestReflectedState:
         # covariance's eigenvalues lambda, the long one along the larger's
         # eigenvector.  The 6-sigma box, not n, limits the agreement to ~5e-8.
         wave = reflected_state(params, grid_n=256)
-        density = np.abs(wave.amplitudes) ** 2 / np.sum(np.abs(wave.amplitudes) ** 2)
-        offsets = [x - marginal @ x for x, marginal in
-                   zip(wave.grid.axes(), (density.sum(axis=1), density.sum(axis=0)))]
+        density = np.abs(wave.amplitudes) ** 2
+        density /= density.sum()
+        weights = density.sum(axis=1), density.sum(axis=0)
+        offsets = [x - w @ x for x, w in zip(wave.grid.axes(), weights)]
         cross = offsets[0] @ density @ offsets[1]
-        covariance = [[density.sum(axis=1) @ offsets[0] ** 2, cross],
-                      [cross, density.sum(axis=0) @ offsets[1] ** 2]]
+        covariance = [[weights[0] @ offsets[0] ** 2, cross], [cross, weights[1] @ offsets[1] ** 2]]
         (minor, major), vectors = np.linalg.eigh(covariance)
         exact = scattered_ellipse(params.fractions, params.sigma1_sq, params.sigma2_sq)
         assert math.sqrt(2.0 * major) == pytest.approx(exact.semi_major, rel=1e-6)
