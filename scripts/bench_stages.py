@@ -16,9 +16,11 @@ stamp of ``perfbench/run.py``.  Per side it records
 * the same calls made in-process: the first call of a process apart
   from the warm calls after it;
 * the split of the default ``transient`` state (n = 512) at t = 0, at
-  the estimated collision time t_c and at 2.5 t_c, and of the default
-  ``oracle-check`` state at n = 512 and 1024, and of an ``oracle-check``
-  state at n = 894 whose first range sample fails (``FALL_THROUGH``), into
+  0.625 t_c (a point of the default curve where a complex restart, when
+  the library had one, failed), at the estimated collision time t_c and
+  at 2.5 t_c, and of the default ``oracle-check`` state at n = 512 and
+  1024, and of an ``oracle-check`` state at n = 894 whose first range
+  sample fails (``FALL_THROUGH``), into
   sampling (through the public samplers, so it includes the sampler's own
   norm check), norm check and Schmidt spectrum;
 * the ``tracemalloc`` peak, in bytes, of one sampling call of each of
@@ -31,12 +33,16 @@ stamp of ``perfbench/run.py``.  Per side it records
   the matrix left after the support trim, the dtype of the amplitudes,
   and ``k``, the sample the SVD's input was projected on, or, when the
   kept matrix itself is used, the record's route: "svd" for a real one,
-  "gram" for a complex one, whose Gram matrix's eigenvalues are taken.
+  "gram" for a complex one, whose Gram matrix's eigenvalues are taken;
+  and ``below_floor``, the count of nonzero entries of the matrix left
+  after the support trim whose magnitude is subnormal or below
+  ``AMPLITUDE_FLOOR`` times the largest, entries that make ``exp`` and
+  the BLAS several times slower and carry no mass.
 
 Times are medians over all samples; the samples are kept too.  Both
 sides run this script's ``measure``, so OTHER_CHECKOUT must have
-``gridsim.schmidt_spectrum`` with its ``SchmidtSpectrum.route`` and
-``ScatterParams.collision_time``.
+``gridsim.schmidt_spectrum`` with its ``SchmidtSpectrum.route``,
+``gridsim._support`` and ``ScatterParams.collision_time``.
 """
 
 from __future__ import annotations
@@ -60,11 +66,13 @@ PROCESS_RUNS = 5
 SPLIT_REPEATS = 5
 ORACLE_NS = (512, 1024)
 TRANSIENT_N = 512
-TRANSIENT_POINTS = (("t=0", 0.0), ("t_c", 1.0), ("2.5 t_c", 2.5))
+TRANSIENT_POINTS = (("t=0", 0.0), ("0.625 t_c", 0.625), ("t_c", 1.0), ("2.5 t_c", 2.5))
 # A real oracle-check state whose first range sample fails and whose
 # residual rate would size a restart past a quarter of the side.
 FALL_THROUGH = {"mu1": 0.6911708539815785, "sigma1_sq": 132.0701346767239}
 FALL_THROUGH_N = 894
+# gridsim's _AMPLITUDE_FLOOR, written out because the --before side may lack it.
+AMPLITUDE_FLOOR = 1e-100
 CLI = "import sys; from hcscatter.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -100,6 +108,16 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def _below_floor(matrix) -> int:
+    """Nonzero entries of ``matrix`` whose magnitude is subnormal or below
+    ``AMPLITUDE_FLOOR`` times its largest."""
+    import numpy as np
+
+    magnitude = np.abs(matrix)
+    floor = max(AMPLITUDE_FLOOR * float(magnitude.max()), np.finfo(float).tiny)
+    return int(np.count_nonzero((magnitude > 0.0) & (magnitude < floor)))
+
+
 def _split(gridsim, sample) -> tuple[dict, dict, int]:
     """Stage times of one sampled state, its LAPACK inputs, and the traced
     peak of one Schmidt spectrum call."""
@@ -109,7 +127,8 @@ def _split(gridsim, sample) -> tuple[dict, dict, int]:
     times = {"sampling": sampling, "norm": norm, "schmidt": schmidt}
     lapack = {"samples": list(spectrum.samples), "kept": list(spectrum.kept_shape),
               "dtype": str(wave.amplitudes.dtype),
-              "k": spectrum.samples[-1] if spectrum.route == "projection" else spectrum.route}
+              "k": spectrum.samples[-1] if spectrum.route == "projection" else spectrum.route,
+              "below_floor": _below_floor(gridsim._support(wave.amplitudes)[0])}
     return times, lapack, _traced_peak(lambda: gridsim.schmidt_spectrum(wave))
 
 

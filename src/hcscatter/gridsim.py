@@ -36,7 +36,8 @@ multiplies the plane wave back in and evaluates f_t - g_t only on the
 wall's open side x1 - x2 > a.  The envelope is formed from grid-relative
 offsets x - c, so no number of the size of |x| enters its exponent, and
 at t = 0, where both w_i are real, it is a real float64 matrix and its
-SVD runs real.
+SVD runs real.  Its entries below ``_AMPLITUDE_FLOOR`` |P| are an exact 0,
+not the subnormal floats, slow on x86, of a narrow state's box corners.
 
 Every sampler fills its grid a block of rows at a time, so its temporaries
 are the size of a block, not of the grid.  Each is pure per call;
@@ -81,6 +82,10 @@ COVERAGE = 6.0
 # Schmidt weights below this are numerical noise and are dropped before
 # the entropy sum.
 _WEIGHT_FLOOR = 1e-14
+# Image envelope amplitudes below this fraction of the packets' peak |P| are an exact 0:
+# each carries under 1e-200 of the peak density, a kept one's exponent is >= -230, far
+# from exp's underflow at -708, and a product of two kept ones is a normal float.
+_AMPLITUDE_FLOOR = 1e-100
 # Rows and columns outside the span of those carrying more than this
 # fraction of the mass are left out of the SVD.  At most 2n of them go, a
 # mass fraction delta <= 2n * 1e-32.  A submatrix's singular values never
@@ -322,7 +327,7 @@ def _real_if_real(z: complex) -> complex | float:
 
 def _image_envelope(params, e1, e2, x1, x2) -> np.ndarray:
     """g_t without its plane wave: P exp(-v1^2 / (2 w1) - v2^2 / (2 w2))
-    with v = T (x - c), formed from the offsets u = x - c."""
+    with v = T (x - c), formed from the offsets u = x - c; 0 below the floor."""
     mu = params.fractions
     dm = mu.delta
     c1, c2 = _reflected_coordinates(mu, params.core_radius, e1.center, e2.center)
@@ -336,8 +341,14 @@ def _image_envelope(params, e1, e2, x1, x2) -> np.ndarray:
     # Complex if any of the three is: t / m can underflow in some and not others.
     exponent = np.multiply(v1, a1, dtype=np.result_type(a1, a2, prefactor))
     exponent += a2 * v2
+    # Re(exponent) is a negative-definite quadratic: its least value on a block is at a corner.
+    real, floor = exponent.real, math.log(_AMPLITUDE_FLOOR)
+    clamped = real[[0, 0, -1, -1], [0, -1, 0, -1]].min() <= floor
+    if clamped:
+        keep = real > floor
+        np.maximum(real, floor, out=real)
     np.exp(exponent, out=exponent)
-    exponent *= prefactor
+    exponent *= prefactor * keep if clamped else prefactor
     return exponent
 
 

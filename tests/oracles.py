@@ -6,8 +6,12 @@ reflect the relative coordinate at the wall, change back.  Covariances
 move with the linear part only.  Pushing the initial covariance through
 it gives the outgoing blocks, which ``closed_form_blocks`` writes out;
 the library's ``d_minus_half`` is derived from them.  Both stay here in
-plain numpy so the library can be checked against them.  ``mu`` is
-anything with ``mu1`` and ``mu2`` attributes, such as ``MassFractions``.
+plain numpy so the library can be checked against them.  In mass-scaled
+coordinates the same map is a beam splitter acting on two squeezed
+vacua, and ``beam_splitter_d_minus_half`` is a second route to
+``d_minus_half`` built from that picture.  ``mu`` is anything with
+``mu1`` and ``mu2`` attributes, and ``delta`` for that route, such as
+``MassFractions``.
 
 ``form_matrix`` builds the 2x2 array of ``scattered_form``'s entries for
 the tests to compute with; ``boundary_points_numpy`` is the numpy
@@ -76,6 +80,46 @@ def scattering_map(mu, core_radius=0.0):
 def scattered_covariance(mu, s1, s2, core_radius=0.0):
     linear, _ = scattering_map(mu, core_radius)
     return linear @ initial_covariance(s1, s2) @ linear.T
+
+
+def mass_scaling(mu):
+    """(x1, p1, x2, p2) to the mass-scaled coordinates (sqrt(mu1) x1,
+    p1 / sqrt(mu1), sqrt(mu2) x2, p2 / sqrt(mu2)), where the kinetic
+    energy is isotropic."""
+    root1, root2 = math.sqrt(mu.mu1), math.sqrt(mu.mu2)
+    return np.diag([root1, 1.0 / root1, root2, 1.0 / root2])
+
+
+def beam_splitter(mu):
+    """The collision's linear part in mass-scaled coordinates.  It keeps
+    the isotropic kinetic energy, so it is orthogonal there: a beam
+    splitter that mixes the two positions, and the two momenta, alike."""
+    scale = mass_scaling(mu)
+    return scale @ scattering_map(mu)[0] @ np.diag(1.0 / np.diag(scale))
+
+
+def squeezed_covariance(position_variance):
+    """A single-mode squeezed vacuum: diag(e^(2r) / 2, e^(-2r) / 2)."""
+    return np.diag([position_variance, 0.25 / position_variance])
+
+
+def beam_splitter_d_minus_half(mu, s1, s2):
+    """d - 1/2 of the bounce read as a beam splitter acting on two squeezed
+    vacua, with no closed form of the covariance route.
+
+    Packet i is, in mass-scaled coordinates, a squeezed vacuum of position
+    variance mu_i s_i / 2 = e^(2 r_i) / 2.  A real splitter whose first row
+    is (t, u) hands output mode 1 the covariance T V1 + R V2, T = t^2 and
+    R = u^2 = 1 - T, whose determinant is 1/4 + T R sinh^2(r1 - r2): the
+    mismatch of the two squeezings, mixed.  So equal squeezings, like
+    T R = 0, entangle nothing."""
+    # T is delta^2 from MassFractions, not the splitter's own t = mu1 - mu2:
+    # that is formed from the rounded mu2 and loses digits next to equal masses.
+    transmissivity, reflectivity = mu.delta**2, beam_splitter(mu)[0, 2] ** 2
+    mode1, mode2 = squeezed_covariance(mu.mu1 * s1 / 2.0), squeezed_covariance(mu.mu2 * s2 / 2.0)
+    mismatch = 0.5 * math.log(mode1[0, 0] / mode2[0, 0])
+    excess = transmissivity * reflectivity * math.sinh(mismatch) ** 2
+    return excess / (math.sqrt(0.25 + excess) + 0.5)
 
 
 def closed_form_blocks(mu, s1, s2):

@@ -14,14 +14,18 @@ from hcscatter.covariance import (
 )
 from oracles import (
     assemble,
+    beam_splitter,
+    beam_splitter_d_minus_half,
     closed_form_blocks,
     com_relative_map,
     d_from_block,
     initial_covariance,
+    mass_scaling,
     packet_amplitude,
     reflection_map,
     scattered_covariance,
     scattering_map,
+    squeezed_covariance,
     symplectic_defect,
     trapezoid,
     uncertainty_floor,
@@ -468,6 +472,57 @@ class TestClosedFormAccuracy:
         mu = MassFractions.from_masses(1e-300, 1.0)
         assert 0.0 < d_minus_half(mu, 1e300, 1.00001) < 2.2e-308
         assert_matches_oracle(mu, 1e300, 1.00001, rel=1e-6)
+
+
+class TestBeamSplitter:
+    """The bounce in mass-scaled coordinates is a beam splitter acting on
+    two squeezed vacua, a second route to d - 1/2 (``tests/oracles.py``)."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.floats(min_value=1e-3, max_value=1.0 - 1e-3),
+        st.floats(min_value=-6.0, max_value=6.0),
+        st.floats(min_value=-6.0, max_value=6.0),
+    )
+    def test_map_is_orthogonal_in_mass_scaled_coordinates(self, mu1, log_s1, log_s2):
+        mu, s1, s2 = MassFractions(mu1), 10.0**log_s1, 10.0**log_s2
+        splitter = beam_splitter(mu)
+        assert np.abs(splitter.T @ splitter - np.eye(4)).max() <= 1e-14
+        assert abs(splitter[0, 0] - mu.delta) <= 1e-15
+        # The packets are the two squeezed vacua there, and the splitter
+        # carries them to the outgoing covariance.
+        scale = mass_scaling(mu)
+        inputs = np.zeros((4, 4))
+        inputs[:2, :2] = squeezed_covariance(mu.mu1 * s1 / 2.0)
+        inputs[2:, 2:] = squeezed_covariance(mu.mu2 * s2 / 2.0)
+        scaled = scale @ initial_covariance(s1, s2) @ scale
+        assert np.all(np.abs(scaled - inputs) <= 1e-15 * np.abs(inputs))
+        unscale = np.diag(1.0 / np.diag(scale))
+        outgoing = unscale @ splitter @ inputs @ splitter.T @ unscale
+        expected = scattered_covariance(mu, s1, s2)
+        assert np.abs(outgoing - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_matches_d_minus_half(self):
+        # Measured: at most 8.2e-14 relative, and 1.0e-14 where
+        # |ln(mu1 s1 / (mu2 s2))| > 2e-2; both routes round mu1 s1 and
+        # mu2 s2 before comparing them, so neither is exact next to that locus.
+        rng = np.random.default_rng(20261020)
+        mu1s = rng.uniform(1e-3, 1.0 - 1e-3, size=20_000)
+        widths = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=(20_000, 2)))
+        for mu1, (s1, s2) in zip(mu1s.tolist(), widths.tolist()):
+            mu = MassFractions(mu1)
+            want = d_minus_half(mu, s1, s2)
+            assert abs(beam_splitter_d_minus_half(mu, s1, s2) - want) <= 1e-12 * want
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=1023), st.integers(min_value=-60, max_value=60))
+    def test_both_loci_give_zero(self, j, k):
+        # Equal masses: T = 0, a full swap.  mu1 s1 = mu2 s2: equally
+        # squeezed inputs, which no beam splitter entangles.
+        mu = MassFractions(j / 1024.0)
+        s1, s2 = mu.mu2 * 2.0**k, mu.mu1 * 2.0**k
+        assert beam_splitter_d_minus_half(mu, s1, s2) == 0.0
+        assert beam_splitter_d_minus_half(MassFractions(0.5), s1, 3.0 * s2) == 0.0
 
 
 class TestStructuralInvariants:

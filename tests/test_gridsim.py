@@ -4,11 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from hcscatter import gridsim
 from hcscatter.covariance import MassFractions, d_minus_half, entropy_from_d_minus_half
 from hcscatter.ellipse import scattered_ellipse
 from hcscatter.gridsim import (
+    _AMPLITUDE_FLOOR,
     CoverageError,
     GridSpec,
     WaveGrid,
@@ -620,13 +623,72 @@ class TestBlockedSampler:
         wave = reflected_state(params, t, grid_n=n)
         x1, x2 = wave.grid.axes()
         e1, e2 = gridsim._evolved_pair(params, t)
+        # The dense oracle keeps the entries below the amplitude floor that
+        # the sampler stores as 0.
+        floor = _AMPLITUDE_FLOOR * abs(e1.prefactor * e2.prefactor)
         for whole in (_image_envelope(params, e1, e2, x1, x2),
                       dense_image_envelope(params, t, x1, x2)):
             assert wave.amplitudes.dtype == whole.dtype == (float if t == 0.0 else complex)
             if t == 0.0:
-                assert np.array_equal(wave.amplitudes, whole)
+                kept = np.abs(whole) >= floor
+                assert np.array_equal(wave.amplitudes[kept], whole[kept])
+                assert not wave.amplitudes[~kept].any()
             else:
                 assert np.abs(wave.amplitudes - whole).max() <= 1e-15 * np.abs(whole).max()
+
+    # Width ratios sigma1/sigma2 from 1/30 to 30 at unequal masses give the
+    # narrow, tilted ellipses whose 6-sigma box corners fall below the floor.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.floats(min_value=0.05, max_value=0.95),
+        st.floats(min_value=-1.5, max_value=1.5),
+        st.one_of(st.just(0.0), st.floats(min_value=-1.0, max_value=3.0)),
+        st.sampled_from([64, 100, 128]),
+    )
+    def test_no_amplitude_below_the_floor(self, mu1, log_ratio, t_over_tc, n):
+        # The whole reflected state, real at t = 0 and complex otherwise, and
+        # every image block collision_state samples: no nonzero entry below
+        # the floor, so none of subnormal size.  (At t so small that t / m is
+        # below ~1e-200, a kept complex entry's imaginary part can still be
+        # subnormal.)  The free product f_t in collision_state is not
+        # floored; the support trim drops its far tail.
+        params = ScatterParams(mu1, 1.0 - mu1, 100.0**log_ratio, 1.0, momentum=4.0,
+                               core_radius=0.5)
+        t = t_over_tc * params.collision_time
+        e1, e2 = gridsim._evolved_pair(params, t)
+        floor = _AMPLITUDE_FLOOR * abs(e1.prefactor * e2.prefactor)
+        blocks = []
+
+        def envelope(*args):
+            blocks.append(_image_envelope(*args))
+            return blocks[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gridsim, "_image_envelope", envelope)
+            try:
+                wave = reflected_state(params, t, grid_n=n)
+                collision_state(params, t, grid_n=n)
+            except CoverageError:
+                reject()
+        assert wave.amplitudes.dtype == float or t != 0.0
+        assert len(blocks) > math.ceil(n / 64)
+        for amplitudes in (wave.amplitudes, *blocks):
+            # Up to rounding at the floor: exp(ln 1e-100) is not 1e-100.
+            kept = np.abs(amplitudes[amplitudes != 0])
+            assert kept.min(initial=np.inf) >= floor * (1.0 - 1e-13) > np.finfo(float).tiny
+
+    # Unfloored, the fall-through state of scripts/bench_stages.py holds
+    # 222,970 nonzero entries below the floor, 8,126 of them subnormal.
+    @pytest.mark.parametrize("mu1, sigma1_sq, n", [(0.6911708539815785, 132.0701346767239, 894),
+                                                   (0.25, 100.0, 512)])
+    def test_floor_leaves_the_spectrum_alone(self, mu1, sigma1_sq, n):
+        params = ScatterParams(mu1, 1.0 - mu1, sigma1_sq, 1.0, core_radius=0.5)
+        wave = reflected_state(params, grid_n=n)
+        dense = dense_image_envelope(params, 0.0, *wave.grid.axes())
+        assert np.count_nonzero(dense) > np.count_nonzero(wave.amplitudes)
+        floored, unfloored = schmidt_spectrum(wave), schmidt_spectrum(WaveGrid(dense, wave.grid))
+        assert (floored.samples, floored.route) == (unfloored.samples, unfloored.route)
+        assert abs(floored.entropy - unfloored.entropy) <= 1e-14
 
     # At t = 1e-320, t / m underflows beside a large squared width but not
     # beside a small one.  With widths 1e6 and 1 the first exponent
