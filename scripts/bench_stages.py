@@ -36,8 +36,8 @@ stamp of ``perfbench/run.py``.  Per side it records
   "gram" for a complex one, whose Gram matrix's eigenvalues are taken;
   and ``below_floor``, the count of nonzero entries of the matrix left
   after the support trim whose magnitude is subnormal or below
-  ``AMPLITUDE_FLOOR`` times the largest, entries that make ``exp`` and
-  the BLAS several times slower and carry no mass.
+  gridsim's ``_AMPLITUDE_FLOOR`` times the largest, entries that make
+  ``exp`` and the BLAS several times slower and carry no mass.
 
 Times are medians over all samples; the samples are kept too.  Both
 sides run this script's ``measure``, so OTHER_CHECKOUT must have
@@ -71,8 +71,6 @@ TRANSIENT_POINTS = (("t=0", 0.0), ("0.625 t_c", 0.625), ("t_c", 1.0), ("2.5 t_c"
 # residual rate would size a restart past a quarter of the side.
 FALL_THROUGH = {"mu1": 0.6911708539815785, "sigma1_sq": 132.0701346767239}
 FALL_THROUGH_N = 894
-# gridsim's _AMPLITUDE_FLOOR, written out because the --before side may lack it.
-AMPLITUDE_FLOOR = 1e-100
 CLI = "import sys; from hcscatter.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -108,13 +106,15 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def _below_floor(matrix) -> int:
+def _below_floor(gridsim, matrix) -> int:
     """Nonzero entries of ``matrix`` whose magnitude is subnormal or below
-    ``AMPLITUDE_FLOOR`` times its largest."""
+    gridsim's amplitude floor times its largest (1e-100 in a checkout that
+    has no floor)."""
     import numpy as np
 
     magnitude = np.abs(matrix)
-    floor = max(AMPLITUDE_FLOOR * float(magnitude.max()), np.finfo(float).tiny)
+    relative = getattr(gridsim, "_AMPLITUDE_FLOOR", 1e-100)
+    floor = max(relative * float(magnitude.max()), np.finfo(float).tiny)
     return int(np.count_nonzero((magnitude > 0.0) & (magnitude < floor)))
 
 
@@ -128,7 +128,7 @@ def _split(gridsim, sample) -> tuple[dict, dict, int]:
     lapack = {"samples": list(spectrum.samples), "kept": list(spectrum.kept_shape),
               "dtype": str(wave.amplitudes.dtype),
               "k": spectrum.samples[-1] if spectrum.route == "projection" else spectrum.route,
-              "below_floor": _below_floor(gridsim._support(wave.amplitudes)[0])}
+              "below_floor": _below_floor(gridsim, gridsim._support(wave.amplitudes)[0])}
     return times, lapack, _traced_peak(lambda: gridsim.schmidt_spectrum(wave))
 
 

@@ -623,18 +623,20 @@ class TestBlockedSampler:
         wave = reflected_state(params, t, grid_n=n)
         x1, x2 = wave.grid.axes()
         e1, e2 = gridsim._evolved_pair(params, t)
-        # The dense oracle keeps the entries below the amplitude floor that
-        # the sampler stores as 0.
-        floor = _AMPLITUDE_FLOOR * abs(e1.prefactor * e2.prefactor)
-        for whole in (_image_envelope(params, e1, e2, x1, x2),
-                      dense_image_envelope(params, t, x1, x2)):
-            assert wave.amplitudes.dtype == whole.dtype == (float if t == 0.0 else complex)
-            if t == 0.0:
-                kept = np.abs(whole) >= floor
-                assert np.array_equal(wave.amplitudes[kept], whole[kept])
-                assert not wave.amplitudes[~kept].any()
-            else:
-                assert np.abs(wave.amplitudes - whole).max() <= 1e-15 * np.abs(whole).max()
+        whole = _image_envelope(params, e1, e2, x1, x2)
+        dense = dense_image_envelope(params, t, x1, x2)
+        assert wave.amplitudes.dtype == whole.dtype == dense.dtype == (
+            float if t == 0.0 else complex)
+        if t == 0.0:
+            assert np.array_equal(wave.amplitudes, whole)
+            # The dense oracle keeps the entries below the amplitude floor
+            # that the sampler stores as 0.
+            kept = np.abs(dense) >= _AMPLITUDE_FLOOR * abs(e1.prefactor * e2.prefactor)
+            assert np.array_equal(wave.amplitudes[kept], dense[kept])
+            assert not wave.amplitudes[~kept].any()
+        else:
+            for oracle in (whole, dense):
+                assert np.abs(wave.amplitudes - oracle).max() <= 1e-15 * np.abs(oracle).max()
 
     # Width ratios sigma1/sigma2 from 1/30 to 30 at unequal masses give the
     # narrow, tilted ellipses whose 6-sigma box corners fall below the floor.
