@@ -341,12 +341,14 @@ def _image_envelope(params, e1, e2, x1, x2) -> np.ndarray:
     # Complex if any of the three is: t / m can underflow in some and not others.
     exponent = np.multiply(v1, a1, dtype=np.result_type(a1, a2, prefactor))
     exponent += a2 * v2
+    # Re(exponent) is concave, so only a block with a corner below the floor needs the mask.
     real, floor = exponent.real, math.log(_AMPLITUDE_FLOOR)
-    keep = real > floor
-    np.maximum(real, floor, out=real)
+    clamped = real[[0, 0, -1, -1], [0, -1, 0, -1]].min() <= floor
+    if clamped:
+        keep = real > floor
+        np.maximum(real, floor, out=real)
     np.exp(exponent, out=exponent)
-    exponent *= keep
-    exponent *= prefactor
+    exponent *= prefactor * keep if clamped else prefactor
     return exponent
 
 
